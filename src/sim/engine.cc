@@ -59,6 +59,59 @@ void Engine::check_delay(Time delay) const {
   PRESTO_CHECK(delay >= 0, "negative delay " << delay);
 }
 
+void Engine::heap_push(std::vector<HeapEntry>& h, const HeapEntry& e) {
+  std::size_t i = h.size();
+  h.push_back(e);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (!before(e, h[parent])) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = e;
+}
+
+void Engine::sift_down(std::vector<HeapEntry>& h, HeapEntry e) {
+  HeapEntry* const a = h.data();
+  const std::size_t n = h.size();
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t c = (i << 2) + 1;
+    if (c >= n) break;
+    std::size_t best;
+    if (c + 4 <= n) {
+      // Full fan-out: a two-round tournament whose picks compile to
+      // conditional moves (keys are unique, so no tie can arise).
+      const std::size_t lo = c + (key(a[c + 1]) < key(a[c]));
+      const std::size_t hi = c + 2 + (key(a[c + 3]) < key(a[c + 2]));
+      best = key(a[hi]) < key(a[lo]) ? hi : lo;
+    } else {
+      best = c;
+      for (std::size_t k = c + 1; k < n; ++k)
+        if (before(a[k], a[best])) best = k;
+    }
+    if (!before(a[best], e)) break;
+    a[i] = a[best];
+    i = best;
+  }
+  a[i] = e;
+}
+
+Engine::HeapEntry Engine::heap_pop(std::vector<HeapEntry>& h) {
+  const HeapEntry top = h[0];
+  const HeapEntry last = h.back();
+  h.pop_back();
+  if (!h.empty()) sift_down(h, last);
+  return top;
+}
+
+Engine::HeapEntry Engine::heap_replace_top(std::vector<HeapEntry>& h,
+                                           const HeapEntry& e) {
+  const HeapEntry top = h[0];
+  sift_down(h, e);
+  return top;
+}
+
 void Engine::push_into(Lane& l, Time t, InlineFn fn) {
   std::uint32_t s;
   if (!l.free.empty()) {
@@ -66,22 +119,12 @@ void Engine::push_into(Lane& l, Time t, InlineFn fn) {
     l.free.pop_back();
   } else {
     s = static_cast<std::uint32_t>(l.slabs.size()) << kSlabShift;
+    PRESTO_CHECK(s < kResumeTag, "event slab exhausted");
     l.slabs.push_back(std::make_unique<InlineFn[]>(kSlabSize));
     for (std::uint32_t i = kSlabSize; i > 1; --i) l.free.push_back(s + i - 1);
   }
   slot(l, s) = std::move(fn);
-
-  // 4-ary sift-up keyed on (t, seq).
-  HeapEntry e{t, l.seq++, s};
-  std::size_t i = l.heap.size();
-  l.heap.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!before(e, l.heap[parent])) break;
-    l.heap[i] = l.heap[parent];
-    i = parent;
-  }
-  l.heap[i] = e;
+  heap_push(l.heap, HeapEntry{t, l.seq++, s});
 }
 
 void Engine::push_event(Time t, InlineFn fn) {
@@ -96,29 +139,14 @@ void Engine::push_event_on(int lane_id, Time t, InlineFn fn) {
   push_into(l, t, std::move(fn));
 }
 
-std::uint32_t Engine::pop_min(Lane& l) {
-  const std::uint32_t s = l.heap[0].slot;
-  const HeapEntry last = l.heap.back();
-  l.heap.pop_back();
-  if (!l.heap.empty()) {
-    // 4-ary sift-down of the former last element from the root.
-    const std::size_t n = l.heap.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = (i << 2) + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t end =
-          first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < end; ++c)
-        if (before(l.heap[c], l.heap[best])) best = c;
-      if (!before(l.heap[best], last)) break;
-      l.heap[i] = l.heap[best];
-      i = best;
-    }
-    l.heap[i] = last;
-  }
-  return s;
+Engine::HeapEntry Engine::resume_entry(Lane& l, Time t, int proc) {
+  return HeapEntry{t < l.now ? l.now : t, l.seq++,
+                   kResumeTag | static_cast<std::uint32_t>(proc)};
+}
+
+void Engine::schedule_resume(int lane_id, Time t, int proc) {
+  Lane& l = lane(lane_id);
+  heap_push(l.heap, resume_entry(l, t, proc));
 }
 
 Processor& Engine::add_processor() {
@@ -131,20 +159,22 @@ Processor& Engine::add_processor() {
   return *processors_.back();
 }
 
-Processor* Engine::step_one(Lane& l) {
-  const Time t = l.heap[0].t;
-  const std::uint32_t s = pop_min(l);
-  PRESTO_CHECK(t >= l.now, "event time went backwards");
-  l.now = t;
+Processor* Engine::dispatch(Lane& l, const HeapEntry& e) {
+  PRESTO_CHECK(e.t >= l.now, "event time went backwards");
+  l.now = e.t;
   ++l.events;
+  if (e.slot & kResumeTag) {
+    Processor* p = processors_[e.slot & ~kResumeTag].get();
+    if (p->finished_) return nullptr;  // stale resume
+    p->resume_time_ = e.t;
+    return p;
+  }
   // Move the closure out and recycle the slot before invoking: the event
   // body may schedule new events (and reuse this very slot).
-  InlineFn fn = std::move(slot(l, s));
-  l.free.push_back(s);
+  InlineFn fn = std::move(slot(l, e.slot));
+  l.free.push_back(e.slot);
   fn();
-  Processor* to = l.transfer_to;
-  l.transfer_to = nullptr;
-  return to;
+  return nullptr;
 }
 
 void Engine::transfer(Processor* self, Processor* to) {
@@ -176,13 +206,34 @@ bool Engine::drive(Processor* self) {
     }
     Processor* to = step_one(l);
     if (to == nullptr) continue;
-    if (to == self) {
-      ++l.direct_resumes;
-      return false;  // own resume: continue app code in place
-    }
-    transfer(self, to);
+    resume(self, to);
     return false;
   }
+}
+
+void Engine::resume(Processor* self, Processor* to) {
+  if (to == self) {
+    ++lane0_->direct_resumes;  // own resume: continue app code in place
+    return;
+  }
+  transfer(self, to);
+}
+
+void Engine::yield_legacy(Processor& self, Time t) {
+  Lane& l = *lane0_;
+  const HeapEntry e = resume_entry(l, t, self.id());
+  if (l.heap.empty() || before(e, l.heap[0])) {
+    // The resume is the earliest event: pushing and popping it would leave
+    // the heap as it is, so run it in place.
+    resume(&self, dispatch(l, e));
+    return;
+  }
+  Processor* to = dispatch(l, heap_replace_top(l.heap, e));
+  if (to == nullptr) {
+    drive(&self);
+    return;
+  }
+  resume(&self, to);
 }
 
 void Engine::drive_exit() {

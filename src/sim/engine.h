@@ -13,11 +13,18 @@
 // until the queue drains. Both backends execute the identical event
 // sequence, so simulated results are bit-identical.
 //
-// The queue is built for host throughput: closures live in a slab of
-// fixed-size slots recycled through a freelist (no per-event heap
-// allocation; see sim/inline_fn.h), and ordering is a 4-ary implicit heap
-// whose entries carry the (time, seq) key inline so sift operations never
-// dereference the slab.
+// The queue is built for host throughput. Ordering is a 4-ary implicit heap
+// whose entries carry the (time, seq) key inline, so sifts never leave the
+// heap array; they compare the key as one unsigned 128-bit value and pick
+// the best of four children without a data-dependent branch. A processor
+// resume -- by far the most common event, since simulated processors yield
+// at nearly every charge() -- is a tagged heap entry naming the processor
+// (schedule_resume), with no closure behind it. Every other event is a
+// closure in a slab of fixed-size slots recycled through a freelist (no
+// per-event heap allocation; see sim/inline_fn.h). In the legacy canon a
+// horizon yield fuses its schedule with the next pop: the yielder's resume
+// either runs in place (it is the earliest event) or replaces the root,
+// costing one sift instead of a sift-up plus a sift-down.
 //
 // ---- Windowed (lane) mode -------------------------------------------------
 //
@@ -96,12 +103,17 @@ class Engine {
     push_event(now() + delay, InlineFn(std::forward<F>(fn)));
   }
   // Windowed mode: schedules onto an explicit lane (cross-lane effects at a
-  // window boundary, processor wakes). Equivalent to schedule_at on lane 0
-  // when windows are off.
+  // window boundary). Equivalent to schedule_at on lane 0 when windows are
+  // off.
   template <typename F>
   void schedule_on(int lane, Time t, F&& fn) {
     push_event_on(lane, t, InlineFn(std::forward<F>(fn)));
   }
+  // Schedules a resume of processor `proc` on `lane` at t (clamped to the
+  // lane's clock), ordered exactly like a closure scheduled at the same
+  // point. The entry needs no closure or slab slot. A resume that pops after
+  // its processor finished is a no-op.
+  void schedule_resume(int lane, Time t, int proc);
 
   // Time of the event currently executing (or the last one executed) on the
   // calling context's lane. Outside any lane in windowed mode this is the
@@ -233,16 +245,37 @@ class Engine {
   friend class Processor;
   friend class WindowPool;
 
-  // Heap entries carry the ordering key so sifts are slab-free; the closure
-  // itself sits in a slab slot recycled through the lane's freelist.
+  // Heap entries carry the ordering key so sifts are slab-free. `slot` is
+  // either a slab slot index holding the event's closure or, with kResumeTag
+  // set, a processor resume whose low bits are the processor id.
   struct HeapEntry {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  static constexpr std::uint32_t kResumeTag = 1u << 31;
+
+  // (t, seq) as one unsigned 128-bit key: t with its sign bit flipped (an
+  // order-preserving map to unsigned) in the high half, seq in the low half.
+  // The compare compiles to a cmp/sbb pair, so sifts can select on it with
+  // conditional moves instead of unpredictable branches.
+  __extension__ typedef unsigned __int128 Key;
+  static Key key(const HeapEntry& e) {
+    return static_cast<Key>(static_cast<std::uint64_t>(e.t) ^ (1ull << 63))
+               << 64 |
+           e.seq;
   }
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return key(a) < key(b);
+  }
+
+  // 4-ary min-heap on before(). pop removes and returns the root;
+  // replace_top returns the root and puts e in its place (one sift-down).
+  static void heap_push(std::vector<HeapEntry>& h, const HeapEntry& e);
+  static HeapEntry heap_pop(std::vector<HeapEntry>& h);
+  static HeapEntry heap_replace_top(std::vector<HeapEntry>& h,
+                                    const HeapEntry& e);
+  static void sift_down(std::vector<HeapEntry>& h, HeapEntry e);
 
   static constexpr std::uint32_t kSlabShift = 8;  // 256 slots per slab chunk
   static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
@@ -255,7 +288,6 @@ class Engine {
     std::vector<HeapEntry> heap;
     std::vector<std::unique_ptr<InlineFn[]>> slabs;
     std::vector<std::uint32_t> free;
-    Processor* transfer_to = nullptr;  // set by a resume event mid-drain
     Time now = 0;
     Time cap = kTimeNever;  // exclusive drain horizon for the current window
     std::uint64_t seq = 0;
@@ -279,11 +311,21 @@ class Engine {
   void push_event(Time t, InlineFn fn);             // calling context's lane
   void push_event_on(int lane, Time t, InlineFn fn);
   void push_into(Lane& l, Time t, InlineFn fn);
-  std::uint32_t pop_min(Lane& l);  // removes the root, returns its slot index
+  // A resume of processor proc at t (clamped to the lane clock), taking the
+  // lane's next seq.
+  HeapEntry resume_entry(Lane& l, Time t, int proc);
 
-  // Executes the lane's next event; returns the processor it resumed, or
-  // nullptr.
-  Processor* step_one(Lane& l);
+  // Executes a popped entry e as the lane's next event; returns the
+  // processor it resumed, or nullptr.
+  Processor* dispatch(Lane& l, const HeapEntry& e);
+  // Pops and executes the lane's next event (dispatch).
+  Processor* step_one(Lane& l) { return dispatch(l, heap_pop(l.heap)); }
+  // Legacy canon: processor `self` yields at t. Schedules its resume fused
+  // with the next pop, then drives like drive(self).
+  void yield_legacy(Processor& self, Time t);
+  // Tail of a legacy drive step that resumed `to`: continue in place when
+  // it is self, else hand the run token over.
+  void resume(Processor* self, Processor* to);
   // Legacy event loop, called by the context holding the run token. With
   // self set (an application context that yielded or blocked), returns once
   // control is back with self's app code — either its own resume event

@@ -1,11 +1,12 @@
 // Small-buffer-optimized move-only callable for simulator events.
 //
-// Every hot-path event closure (processor resumes, message deliveries,
-// handler dispatches) captures well under kInlineSize bytes, so scheduling
-// an event never touches the heap — unlike std::function, which boxes any
-// capture larger than its (implementation-defined, often 16-byte) inline
-// buffer. Oversized callables still work via a boxed fallback so cold-path
-// and test code can schedule arbitrary closures.
+// Every hot-path event closure (message deliveries, handler dispatches)
+// captures well under kInlineSize bytes, so scheduling an event never
+// touches the heap — unlike std::function, which boxes any capture larger
+// than its (implementation-defined, often 16-byte) inline buffer. Oversized
+// callables still work via a boxed fallback so cold-path and test code can
+// schedule arbitrary closures. Processor resumes, the most common event,
+// need no closure at all (Engine::schedule_resume).
 #pragma once
 
 #include <cstddef>

@@ -49,7 +49,7 @@ void Processor::start(std::function<void()> body, Time start_time) {
   } else {
     thread_ = std::thread(&Processor::thread_main, this);
   }
-  engine_.schedule_on(lane_, start_time, [this] { mark_resume(); });
+  engine_.schedule_resume(lane_, start_time, id_);
 }
 
 bool Processor::run_body() {
@@ -91,19 +91,13 @@ FiberContext* Processor::fiber_entry(void* self_void) {
   if (self->run_body()) return self->kill_exit_;
   if (self->engine_.windowed()) {
     // Return control to the lane's drain loop; remaining lane events run on
-    // its stack. A stale resume for this processor is a no-op (mark_resume
-    // checks finished_).
+    // its stack. A stale resume for this processor is a no-op (the engine
+    // skips resumes of finished processors).
     return &self->engine_.lane(self->lane_).sched_ctx;
   }
   // Keep driving the event loop on this (now dead-to-the-simulation) stack
   // until control must pass elsewhere; that handoff is the fiber's last act.
   return self->engine_.drive_exit_target();
-}
-
-void Processor::mark_resume() {
-  if (finished_) return;
-  resume_time_ = engine_.lane_now(lane_);
-  engine_.lane(lane_).transfer_to = this;
 }
 
 void Processor::grant_control() {
@@ -159,7 +153,7 @@ void Processor::wake(Time t) {
   if (t < lane_now) t = lane_now;
   if (blocked_) {
     blocked_ = false;
-    engine_.schedule_on(lane_, t, [this] { mark_resume(); });
+    engine_.schedule_resume(lane_, t, id_);
   } else {
     // Not parked yet (running or in a horizon yield): latch for the next
     // block() call so the wake cannot be lost.
@@ -189,24 +183,23 @@ void Processor::maybe_yield_at_horizon() {
   if (clock_ < last_yield_clock_ + engine_.quantum_floor()) return;
   last_yield_clock_ = clock_;
   ++yields_;
-  engine_.schedule_at(clock_, [this] { mark_resume(); });
-  if (engine_.windowed()) {
-    park_to_scheduler();
-  } else {
-    engine_.drive(this);
-  }
+  park_until(clock_);
 }
 
 void Processor::yield() {
   ++yields_;
   last_yield_clock_ = clock_;
-  engine_.schedule_at(clock_, [this] { mark_resume(); });
+  park_until(clock_);
+  if (resume_time_ > clock_) clock_ = resume_time_;
+}
+
+void Processor::park_until(Time t) {
   if (engine_.windowed()) {
+    engine_.schedule_resume(lane_, t, id_);
     park_to_scheduler();
   } else {
-    engine_.drive(this);
+    engine_.yield_legacy(*this, t);
   }
-  if (resume_time_ > clock_) clock_ = resume_time_;
 }
 
 void Processor::block() {

@@ -103,8 +103,6 @@ class Processor {
   // fiber's terminal switch target.
   static FiberContext* fiber_entry(void* self);
 
-  // Engine-context resume event: flags the engine to transfer control here.
-  void mark_resume();
   // Thread backend: hands the run token to this processor's thread.
   void grant_control();
   // Thread backend: waits for the run token; throws Killed on teardown.
@@ -128,6 +126,9 @@ class Processor {
 
   void absorb_stolen();
   void maybe_yield_at_horizon();
+  // Schedules this processor's resume at t and parks until it pops: the
+  // shared tail of both yields.
+  void park_until(Time t);
 
   Engine& engine_;
   const int id_;

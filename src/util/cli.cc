@@ -1,13 +1,21 @@
 #include "util/cli.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
+#include <type_traits>
 
 #include "util/check.h"
 
 namespace presto::util {
 
 Cli::Cli(int argc, char** argv) {
+  if (argc > 0) {
+    prog_ = argv[0];
+    const auto slash = prog_.rfind('/');
+    if (slash != std::string::npos) prog_.erase(0, slash + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     PRESTO_CHECK(arg.rfind("--", 0) == 0,
@@ -25,25 +33,35 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
-void Cli::note_query(std::string_view name) const {
+template <typename Def>
+void Cli::note_query(std::string_view name, const Def& def) const {
   // Transparent find first: the common case (name already recorded) must not
   // build a temporary std::string.
-  if (queried_.find(name) == queried_.end()) queried_.emplace(name);
+  if (queried_.find(name) != queried_.end()) return;
+  std::ostringstream text;
+  if constexpr (std::is_same_v<Def, bool>) {
+    text << (def ? "true" : "false");
+  } else if constexpr (std::is_same_v<Def, std::string>) {
+    text << '"' << def << '"';
+  } else {
+    text << def;
+  }
+  queried_.emplace(name, text.str());
 }
 
 bool Cli::has(std::string_view name) const {
-  note_query(name);
+  note_query(name, false);
   return flags_.find(name) != flags_.end();
 }
 
 std::string Cli::get(std::string_view name, const std::string& def) const {
-  note_query(name);
+  note_query(name, def);
   const auto it = flags_.find(name);
   return it == flags_.end() ? def : it->second;
 }
 
 std::int64_t Cli::get_int(std::string_view name, std::int64_t def) const {
-  note_query(name);
+  note_query(name, def);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   const std::string& v = it->second;
@@ -58,7 +76,7 @@ std::int64_t Cli::get_int(std::string_view name, std::int64_t def) const {
 }
 
 double Cli::get_double(std::string_view name, double def) const {
-  note_query(name);
+  note_query(name, def);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   const std::string& v = it->second;
@@ -73,13 +91,29 @@ double Cli::get_double(std::string_view name, double def) const {
 }
 
 bool Cli::get_bool(std::string_view name, bool def) const {
-  note_query(name);
+  note_query(name, def);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   return it->second != "0" && it->second != "false";
 }
 
+std::string Cli::help_text() const {
+  std::string text = "usage: " + prog_ + " [--flag[=value] ...]\n";
+  std::size_t width = 0;
+  for (const auto& [name, def] : queried_)
+    if (name.size() > width) width = name.size();
+  for (const auto& [name, def] : queried_)
+    text += "  --" + name + std::string(width - name.size() + 2, ' ') +
+            "default: " + def + "\n";
+  return text;
+}
+
 void Cli::reject_unknown() const {
+  if (flags_.find("help") != flags_.end() &&
+      queried_.find("help") == queried_.end()) {
+    std::fputs(help_text().c_str(), stdout);
+    std::exit(0);
+  }
   std::string unknown;
   for (const auto& [name, value] : flags_) {
     if (queried_.find(name) != queried_.end()) continue;

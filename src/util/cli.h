@@ -4,7 +4,9 @@
 // Parsing is strict where it is cheap to be: malformed numeric values abort
 // with a clear message instead of silently reading as 0, and programs call
 // reject_unknown() after their last get*() so a mistyped flag aborts instead
-// of being ignored.
+// of being ignored. --help, unless the program queries it itself, makes
+// reject_unknown() print every flag queried so far with its default and exit
+// 0 -- the queried names are the binary's flags, so help never goes stale.
 //
 // Lookups take std::string_view and the maps use transparent comparators, so
 // has()/get*() with a string literal never constructs a temporary
@@ -14,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -32,20 +33,29 @@ class Cli {
   bool get_bool(std::string_view name, bool def = false) const;
 
   // Aborts, listing the offenders, if any provided --flag was never looked
-  // up through the accessors above. Call once after the last get*().
+  // up through the accessors above. Call once after the last get*(). With
+  // --help given (and not queried), prints help_text() and exits 0 instead.
   void reject_unknown() const;
+
+  // Usage text: every flag queried so far, with the default it was queried
+  // with.
+  std::string help_text() const;
 
   // Distinct flag names the program has queried so far (test hook: repeated
   // lookups of the same name must not grow this).
   std::size_t queried_count() const { return queried_.size(); }
 
  private:
-  // Records the query without allocating when the name was already queried.
-  void note_query(std::string_view name) const;
+  // Records the query, with the default --help shows for it. Allocates only
+  // on a name's first query; def is formatted only then.
+  template <typename Def>
+  void note_query(std::string_view name, const Def& def) const;
 
+  std::string prog_;
   std::map<std::string, std::string, std::less<>> flags_;
-  // Flags the program asked about — the de-facto set of valid names.
-  mutable std::set<std::string, std::less<>> queried_;
+  // Flags the program asked about — the de-facto set of valid names —
+  // mapped to the default each was first queried with.
+  mutable std::map<std::string, std::string, std::less<>> queried_;
 };
 
 }  // namespace presto::util

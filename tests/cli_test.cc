@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -72,6 +73,36 @@ TEST(CliDeath, RejectUnknownAbortsOnUnqueriedFlag) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Cli cli = make_cli({"--typo=1"});
   EXPECT_DEATH(cli.reject_unknown(), "unknown flag");
+}
+
+// --help lists exactly the flags the program queried, each with the default
+// it was queried with, and exits 0 in place of the unknown-flag abort.
+TEST(Cli, HelpListsQueriedFlagsWithDefaults) {
+  const Cli cli = make_cli({"--help"});
+  (void)cli.get_int("blocks", 512);
+  (void)cli.get_bool("quick");
+  (void)cli.get("json", "out.json");
+  (void)cli.get_double("min-speedup", 1.25);
+  (void)cli.get_int("blocks", 7);  // a later default does not replace the first
+  const std::string help = cli.help_text();
+  EXPECT_NE(help.find("usage: prog"), std::string::npos) << help;
+  EXPECT_NE(help.find("--blocks       default: 512\n"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--quick        default: false\n"), std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--json         default: \"out.json\"\n"),
+            std::string::npos)
+      << help;
+  EXPECT_NE(help.find("--min-speedup  default: 1.25\n"), std::string::npos)
+      << help;
+  EXPECT_EQ(help.find("--help"), std::string::npos) << help;
+}
+
+TEST(CliDeath, HelpExitsZeroInsteadOfRejecting) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Cli cli = make_cli({"--help", "--typo=1"});
+  (void)cli.get_int("blocks", 512);
+  EXPECT_EXIT(cli.reject_unknown(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(CliDeath, MalformedIntegerAborts) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <queue>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.h"
@@ -335,6 +340,192 @@ TEST(FiberBackend, EngineReportsSwitchCounters) {
   solo.run();
   EXPECT_GT(solo.direct_resumes(), 0u);
 }
+
+// A processor resume is a tagged heap entry, not a closure, but it takes its
+// seq at the same point a closure would: scheduled between two closures at
+// the same time, it runs between them.
+TEST(Engine, ResumeOrdersBetweenSameTimeClosures) {
+  Engine e;
+  std::vector<char> order;
+  auto& p = e.add_processor();
+  e.schedule_at(5, [&] { order.push_back('a'); });
+  p.start([&] { order.push_back('p'); }, 5);
+  e.schedule_at(5, [&] { order.push_back('b'); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'p', 'b'}));
+  EXPECT_EQ(e.events_executed(), 3u);
+}
+
+// A lone processor's yields resume in place: every yield is a direct resume
+// and adds no handoff (the one handoff is run()'s caller starting it). The
+// charges that cross a pending closure take the fused path: the closure
+// replaces the heap root, runs, and the yielder's own resume follows.
+TEST(Engine, LoneYieldTakesDirectResumePath) {
+  Engine e(Backend::kFiber);
+  auto& p = e.add_processor();
+  std::vector<Time> closures;
+  for (Time t = 100; t <= 300; t += 100)
+    e.schedule_at(t, [&] { closures.push_back(e.now()); });
+  p.start([&] {
+    for (int i = 0; i < 4; ++i) p.yield();  // earliest event: in place
+    for (int i = 0; i < 6; ++i) p.charge(50);  // yields at 100, 200, 300
+  });
+  e.run();
+  EXPECT_EQ(closures, (std::vector<Time>{100, 200, 300}));
+  EXPECT_EQ(p.yield_count(), 7u);
+  EXPECT_EQ(e.direct_resumes(), 7u);
+  EXPECT_EQ(e.handoffs(), 1u);
+  EXPECT_EQ(e.events_executed(), 1u + 3u + 7u);
+}
+
+// A resume that pops after its processor finished executes as an event but
+// resumes nothing; later events still run.
+TEST(Engine, StaleResumeForFinishedProcessorIsNoop) {
+  Engine e;
+  auto& p = e.add_processor();
+  int body_runs = 0;
+  bool later = false;
+  p.start([&] { ++body_runs; });
+  e.schedule_resume(p.lane(), 100, p.id());
+  e.schedule_at(200, [&] { later = true; });
+  e.run();
+  EXPECT_EQ(body_runs, 1);
+  EXPECT_TRUE(p.finished());
+  EXPECT_TRUE(later);
+  EXPECT_EQ(e.now(), 200);
+  EXPECT_EQ(e.events_executed(), 3u);
+  EXPECT_EQ(e.handoffs(), 1u);
+}
+
+}  // namespace
+
+// White-box access to the event heap.
+class EngineTestPeer {
+ public:
+  using Entry = Engine::HeapEntry;
+  static void push(std::vector<Entry>& h, const Entry& e) {
+    Engine::heap_push(h, e);
+  }
+  static Entry pop(std::vector<Entry>& h) { return Engine::heap_pop(h); }
+  static Entry replace_top(std::vector<Entry>& h, const Entry& e) {
+    return Engine::heap_replace_top(h, e);
+  }
+  static bool before(const Entry& a, const Entry& b) {
+    return Engine::before(a, b);
+  }
+};
+
+namespace {
+
+using Entry = EngineTestPeer::Entry;
+using Ref = std::tuple<Time, std::uint64_t, std::uint32_t>;
+
+Ref as_ref(const Entry& e) { return {e.t, e.seq, e.slot}; }
+
+// The wide-key compare is lexicographic (t, seq) over the whole signed time
+// range, including the sign boundary and kTimeNever.
+TEST(EventHeap, KeyOrderIsLexicographic) {
+  const Time ts[] = {std::numeric_limits<Time>::min(), -1, 0, 1,
+                     kTimeNever - 1, kTimeNever};
+  const std::uint64_t seqs[] = {0, 1, std::numeric_limits<std::uint64_t>::max()};
+  for (const Time ta : ts)
+    for (const Time tb : ts)
+      for (const std::uint64_t sa : seqs)
+        for (const std::uint64_t sb : seqs) {
+          const Entry a{ta, sa, 0};
+          const Entry b{tb, sb, 0};
+          EXPECT_EQ(EngineTestPeer::before(a, b),
+                    std::make_pair(ta, sa) < std::make_pair(tb, sb))
+              << ta << "/" << sa << " vs " << tb << "/" << sb;
+        }
+}
+
+// Randomized push / pop / fused-yield sequences against std::priority_queue
+// keyed on (t, seq). A fused yield of entry e either finds e before the root
+// (it would run next: the heap is untouched) or returns the root and leaves
+// e in its place — the reference pops the root and pushes e.
+TEST(EventHeap, MatchesPriorityQueueReference) {
+  std::mt19937_64 rng(20261017);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Entry> heap;
+    std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+    std::uint64_t seq = 0;
+    // Few distinct times, so equal-time ties dominate; plus the extremes.
+    auto draw_time = [&]() -> Time {
+      switch (rng() % 8) {
+        case 0: return 0;
+        case 1: return kTimeNever;
+        case 2: return kTimeNever - static_cast<Time>(rng() % 3);
+        default: return static_cast<Time>(rng() % 6);
+      }
+    };
+    for (int op = 0; op < 2000; ++op) {
+      const unsigned kind = static_cast<unsigned>(rng() % 3);
+      if (kind == 0 || ref.empty()) {
+        const Entry e{draw_time(), seq++, static_cast<std::uint32_t>(op)};
+        EngineTestPeer::push(heap, e);
+        ref.push(as_ref(e));
+      } else if (kind == 1) {
+        ASSERT_EQ(as_ref(EngineTestPeer::pop(heap)), ref.top());
+        ref.pop();
+      } else {
+        const Entry e{draw_time(), seq++, static_cast<std::uint32_t>(op)};
+        if (EngineTestPeer::before(e, heap[0])) {
+          ASSERT_LT(as_ref(e), ref.top());
+          continue;
+        }
+        ASSERT_EQ(as_ref(EngineTestPeer::replace_top(heap, e)), ref.top());
+        ref.pop();
+        ref.push(as_ref(e));
+      }
+      ASSERT_EQ(heap.size(), ref.size());
+    }
+    while (!ref.empty()) {
+      ASSERT_EQ(as_ref(EngineTestPeer::pop(heap)), ref.top());
+      ref.pop();
+    }
+    EXPECT_TRUE(heap.empty());
+  }
+}
+
+// Exact host-counter pins for a fixed 32-processor ring: processor i
+// charges 7 + i % 5 per step for 40 steps, yields explicitly every 7 steps
+// and hands a token to i + 1 every 10 steps. The counts are what perfbench reports as sim.events,
+// sim.handoffs and sim.direct_resumes; they depend only on the event
+// sequence, so they are identical on both backends and must not drift.
+class YieldRingTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(YieldRingTest, HostCountersArePinned) {
+  constexpr int kProcs = 32;
+  Engine e(GetParam());
+  std::vector<Processor*> procs;
+  for (int i = 0; i < kProcs; ++i) procs.push_back(&e.add_processor());
+  for (int i = 0; i < kProcs; ++i) {
+    Processor& p = *procs[static_cast<std::size_t>(i)];
+    Processor& next = *procs[static_cast<std::size_t>((i + 1) % kProcs)];
+    p.start([&e, &p, &next, i] {
+      for (int step = 1; step <= 40; ++step) {
+        p.charge(7 + i % 5);
+        if (step % 7 == 0) p.yield();
+        if (step % 10 == 0) {
+          const Time at = p.now();
+          e.schedule_at(at, [&next, at] { next.wake(at); });
+          p.block();
+        }
+      }
+    });
+  }
+  e.run();
+  EXPECT_EQ(e.events_executed(), 1652u);
+  EXPECT_EQ(e.handoffs(), 1518u);
+  EXPECT_EQ(e.direct_resumes(), 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothBackends, YieldRingTest,
+                         ::testing::Values(Backend::kFiber, Backend::kThread),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return std::string(backend_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace presto::sim
