@@ -17,10 +17,9 @@
 namespace presto::bench {
 
 // --quick shrinks every workload for smoke runs (used by ctest); --scale=N
-// divides the paper's problem sizes by N. --backend=fiber|thread|parallel
-// and --workers=N pick the engine driving the simulation (equivalent to
-// PRESTO_BACKEND/PRESTO_WORKERS; simulated results are bit-identical across
-// backends — docs/performance.md §9 — only host speed differs).
+// divides the paper's problem sizes by N. --backend=fiber|parallel and
+// --workers=N pick the engine driving the simulation (equivalent to
+// PRESTO_BACKEND/PRESTO_WORKERS; docs/performance.md §9).
 struct Scale {
   std::int64_t divide = 1;
   int nodes = 32;
@@ -36,13 +35,11 @@ struct Scale {
     const std::string b = cli.get("backend", "");
     if (b == "fiber") {
       s.backend = sim::Backend::kFiber;
-    } else if (b == "thread") {
-      s.backend = sim::Backend::kThread;
     } else if (b == "parallel") {
       s.backend = sim::Backend::kParallel;
     } else {
       PRESTO_CHECK(b.empty(),
-                   "--backend: expected fiber, thread or parallel, got '"
+                   "--backend: expected fiber or parallel, got '"
                        << b << "'");
     }
     s.workers = static_cast<int>(cli.get_int("workers", 0));

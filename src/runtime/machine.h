@@ -40,8 +40,8 @@ struct MachineConfig {
   sim::Time reduce_per_byte = 50;                    // control-network combine
   sim::Time quantum_floor = 0;  // 0 = exact event-granularity interleaving
   std::uint64_t seed = 0x5EEDF00DULL;
-  // Host-side processor implementation (fibers vs OS threads); simulated
-  // results are bit-identical across backends, only host speed differs.
+  // How the host runs the processors' fibers (all on one thread, or sharded
+  // over a worker pool); see sim/fiber.h.
   sim::Backend backend = sim::default_backend();
   // Conservative-window engine (sim/engine.h): 0 keeps the classic
   // single-lane engine (every legacy golden number unchanged). Any positive
@@ -53,7 +53,7 @@ struct MachineConfig {
   sim::Time window = 0;
   // Worker threads draining lanes under backend kParallel. 0 = the
   // PRESTO_WORKERS environment variable, falling back to
-  // min(nodes, hardware_concurrency); ignored by other backends.
+  // min(nodes, hardware_concurrency); ignored by kFiber.
   int workers = 0;
   // Cap on a parallel worker's spin-acquired consecutive-window streak
   // (adaptive window batching, sim/parallel.h). 0 = unbounded. Host-only

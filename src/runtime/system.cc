@@ -1,10 +1,12 @@
 #include "runtime/system.h"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "sim/parallel.h"
@@ -40,11 +42,16 @@ namespace {
 // PRESTO_WORKERS, else min(nodes, hardware_concurrency).
 int default_workers(int nodes) {
   if (const char* env = std::getenv("PRESTO_WORKERS")) {
+    // strtol saturates on overflow (ERANGE), and a long may exceed int:
+    // reject both rather than silently running with a truncated count.
+    errno = 0;
     char* end = nullptr;
     const long w = std::strtol(env, &end, 10);
-    PRESTO_CHECK(env[0] != '\0' && end != nullptr && *end == '\0' && w >= 1,
-                 "PRESTO_WORKERS: expected a positive integer, got '" << env
-                                                                     << "'");
+    PRESTO_CHECK(env[0] != '\0' && *end == '\0' && errno != ERANGE && w >= 1 &&
+                     w <= std::numeric_limits<int>::max(),
+                 "PRESTO_WORKERS: expected an integer in [1, "
+                     << std::numeric_limits<int>::max() << "], got '" << env
+                     << "'");
     return static_cast<int>(w);
   }
   int hw = static_cast<int>(std::thread::hardware_concurrency());

@@ -1,7 +1,10 @@
 #include "sim/fiber.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 
 #include <sys/mman.h>
@@ -21,6 +24,7 @@
 #endif
 
 #if PRESTO_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -108,17 +112,11 @@ Backend default_backend() {
     const char* v = std::getenv("PRESTO_BACKEND");
     if (v != nullptr && v[0] != '\0') {
       if (std::strcmp(v, "fiber") == 0) return Backend::kFiber;
-      if (std::strcmp(v, "thread") == 0) return Backend::kThread;
       if (std::strcmp(v, "parallel") == 0) return Backend::kParallel;
-      PRESTO_FAIL("PRESTO_BACKEND must be 'fiber', 'thread' or 'parallel', "
-                  "got '"
+      PRESTO_FAIL("PRESTO_BACKEND must be 'fiber' or 'parallel', got '"
                   << v << "'");
     }
-#if defined(PRESTO_FIBERS_DEFAULT_THREAD)
-    return Backend::kThread;
-#else
     return Backend::kFiber;
-#endif
   }();
   return b;
 }
@@ -126,7 +124,6 @@ Backend default_backend() {
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kFiber: return "fiber";
-    case Backend::kThread: return "thread";
     case Backend::kParallel: return "parallel";
   }
   return "unknown";
@@ -138,20 +135,27 @@ std::size_t Fiber::default_stack_size() {
     std::size_t bytes = PRESTO_ASAN ? 2u * 1024 * 1024 : 1u * 1024 * 1024;
     const char* v = std::getenv("PRESTO_STACK_SIZE");
     if (v != nullptr && v[0] != '\0') {
+      // strtoull accepts a sign (wrapping "-1" to 2^64-1) and saturates on
+      // overflow, so both are rejected explicitly, as is any size (suffix
+      // applied) large enough to wrap the page round-up.
+      constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max() / 2;
+      errno = 0;
       char* end = nullptr;
       const unsigned long long n = std::strtoull(v, &end, 10);
+      const bool in_range = errno != ERANGE;
       std::size_t mult = 1;
-      if (end != nullptr && (*end == 'k' || *end == 'K')) {
+      if (*end == 'k' || *end == 'K') {
         mult = 1024;
         ++end;
-      } else if (end != nullptr && (*end == 'm' || *end == 'M')) {
+      } else if (*end == 'm' || *end == 'M') {
         mult = 1024 * 1024;
         ++end;
       }
-      PRESTO_CHECK(end != nullptr && *end == '\0' && n > 0,
-                   "PRESTO_STACK_SIZE: expected bytes with optional k/m "
-                   "suffix, got '"
-                       << v << "'");
+      PRESTO_CHECK(std::isdigit(static_cast<unsigned char>(v[0])) &&
+                       *end == '\0' && in_range && n > 0 && n <= kMax / mult,
+                   "PRESTO_STACK_SIZE: expected a positive byte count with "
+                   "optional k/m suffix, at most "
+                       << kMax << " bytes, got '" << v << "'");
       bytes = static_cast<std::size_t>(n) * mult;
     }
     // Handler events run on whichever fiber drives the loop; below this the
@@ -182,6 +186,12 @@ Fiber::Fiber(Entry entry, void* arg, std::size_t stack_size)
               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   PRESTO_CHECK(map_ != MAP_FAILED,
                "fiber stack mmap of " << map_size_ << " bytes failed");
+#if PRESTO_ASAN
+  // munmap leaves ASan's shadow as it was, and a dead fiber's last frames
+  // (run_entry, fiber_exit_to) never returned to clear their redzones: a
+  // stack mapped where an earlier one lived must not inherit that poison.
+  __asan_unpoison_memory_region(map_, map_size_);
+#endif
   PRESTO_CHECK(mprotect(map_, page_size(), PROT_NONE) == 0,
                "fiber guard page mprotect failed");
   stack_lo_ = static_cast<unsigned char*>(map_) + page_size();

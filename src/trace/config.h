@@ -24,7 +24,7 @@ enum Category : std::uint32_t {
   kCatMiss = 1u << 3,     // remote-miss windows (fault start/end)
   kCatMsg = 1u << 4,      // protocol messages (send/recv/dispatch)
   kCatData = 1u << 5,     // installs, presend installs, hit/waste verdicts
-  kCatSim = 1u << 6,      // context block/resume (fiber or thread switches)
+  kCatSim = 1u << 6,      // context block/resume (fiber switches)
   kCatAll = 0x7fu,
 };
 

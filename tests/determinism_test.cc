@@ -66,6 +66,21 @@ TEST(Determinism, PredictiveRepeatedRunsIdentical) {
   expect_identical(a, b, /*compare_timing=*/true);
 }
 
+// Every protocol at a nonzero quantum floor: horizon yields add voluntary
+// control transfers, which must land at identical virtual times run after
+// run.
+TEST(Determinism, QuantumFloorRepeatedRunsIdenticalAllProtocols) {
+  for (const auto kind : runtime::kAllProtocolKinds) {
+    SCOPED_TRACE(runtime::protocol_kind_name(kind));
+    const auto run = [kind] {
+      return testutil::run_micro_workload(kind, /*quantum_floor=*/500,
+                                          /*nodes=*/4, /*rounds=*/4,
+                                          sim::Backend::kFiber);
+    };
+    expect_identical(run(), run(), /*compare_timing=*/true);
+  }
+}
+
 TEST(Determinism, QuantumFloorDoesNotChangeResults) {
   const auto exact =
       testutil::run_micro_workload(runtime::ProtocolKind::kPredictive,

@@ -214,16 +214,6 @@ TEST_P(ParallelEquivalenceTest, ParallelMatchesSerialAcrossWorkers) {
   }
 }
 
-// The thread backend's windowed drain (condvar lane handoff instead of fiber
-// switches) must land on the same canon too: fiber ≡ thread ≡ parallel.
-TEST_P(ParallelEquivalenceTest, ThreadWindowedMatchesFiberWindowed) {
-  const WorkloadResult fiber = run_serial_windowed(GetParam(), 32);
-  const WorkloadResult thread = run_micro_workload(
-      GetParam(), /*quantum_floor=*/0, /*nodes=*/4, /*rounds=*/6,
-      sim::Backend::kThread, 32, /*traced=*/true, trace::kCatAll, kWindow);
-  expect_equal(fiber, thread);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ParallelEquivalenceTest,
     ::testing::ValuesIn(runtime::kAllProtocolKinds),

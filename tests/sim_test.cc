@@ -206,10 +206,10 @@ TEST(Engine, TeardownWithNeverRunProcessorDoesNotHang) {
   SUCCEED();
 }
 
-// Teardown must be uniform across backends for every processor lifecycle
-// stage: never started, started but never scheduled (engine never ran),
-// and already finished. Each case exercises a distinct destructor path
-// (no context at all / Killed unwind / plain join-and-free).
+// Teardown must be clean for every processor lifecycle stage: never
+// started, started but never scheduled (engine never ran), and already
+// finished. Each case exercises a distinct destructor path (no fiber at all
+// / Killed unwind / plain stack free).
 class BackendTeardownTest : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(BackendTeardownTest, NeverStartedProcessor) {
@@ -279,8 +279,10 @@ TEST_P(BackendTeardownTest, ManyProcessorsDeterministicFinish) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// The instantiation name predates the single fiber backend; it is kept so
+// the registered test names stay stable.
 INSTANTIATE_TEST_SUITE_P(BothBackends, BackendTeardownTest,
-                         ::testing::Values(Backend::kFiber, Backend::kThread),
+                         ::testing::Values(Backend::kFiber),
                          [](const ::testing::TestParamInfo<Backend>& info) {
                            return std::string(backend_name(info.param));
                          });
@@ -492,7 +494,7 @@ TEST(EventHeap, MatchesPriorityQueueReference) {
 // charges 7 + i % 5 per step for 40 steps, yields explicitly every 7 steps
 // and hands a token to i + 1 every 10 steps. The counts are what perfbench reports as sim.events,
 // sim.handoffs and sim.direct_resumes; they depend only on the event
-// sequence, so they are identical on both backends and must not drift.
+// sequence and must not drift.
 class YieldRingTest : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(YieldRingTest, HostCountersArePinned) {
@@ -521,8 +523,9 @@ TEST_P(YieldRingTest, HostCountersArePinned) {
   EXPECT_EQ(e.direct_resumes(), 6u);
 }
 
+// Named like BackendTeardownTest's instantiation, for the same reason.
 INSTANTIATE_TEST_SUITE_P(BothBackends, YieldRingTest,
-                         ::testing::Values(Backend::kFiber, Backend::kThread),
+                         ::testing::Values(Backend::kFiber),
                          [](const ::testing::TestParamInfo<Backend>& info) {
                            return std::string(backend_name(info.param));
                          });
