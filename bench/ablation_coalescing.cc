@@ -51,9 +51,9 @@ stats::Report run_stream(int nodes, std::size_t kilobytes, int iters,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto scale = bench::Scale::from_cli(cli);
-  const std::size_t kb =
-      static_cast<std::size_t>(cli.get_int("kb", 64) / scale.divide + 1);
-  const int iters = static_cast<int>(cli.get_int("iters", 8));
+  const std::size_t kb = static_cast<std::size_t>(
+      cli.get_int("kb", 64, 0, INT_MAX) / scale.divide + 1);
+  const int iters = static_cast<int>(cli.get_int("iters", 8, 0, INT_MAX));
   const auto trace_cfg = bench::trace_from_cli(cli);
   cli.reject_unknown();
 

@@ -67,11 +67,11 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto scale = bench::Scale::from_cli(cli);
   const std::size_t n =
-      static_cast<std::size_t>(cli.get_int("mesh", 128) /
+      static_cast<std::size_t>(cli.get_int("mesh", 128, 1, INT_MAX) /
                                (scale.divide > 1 ? 2 : 1));
   // At least 6 sweeps so the schedules have repetition to exploit.
   const int iters = std::max<int>(
-      6, static_cast<int>(cli.get_int("iters", 20) / scale.divide));
+      6, static_cast<int>(cli.get_int("iters", 20, 0, INT_MAX) / scale.divide));
   const auto trace_cfg = bench::trace_from_cli(cli);
   cli.reject_unknown();
 

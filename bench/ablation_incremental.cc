@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
 
   apps::AdaptiveParams params;
   params.n = scale.divide > 1 ? 64 : 128;
-  params.iters = static_cast<int>(cli.get_int("iters", 60) / scale.divide);
+  params.iters =
+      static_cast<int>(cli.get_int("iters", 60, 0, INT_MAX) / scale.divide);
   const auto trace_cfg = bench::trace_from_cli(cli);
   cli.reject_unknown();
   if (params.iters < 4) params.iters = 4;

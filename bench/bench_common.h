@@ -3,6 +3,7 @@
 // version + a counter table).
 #pragma once
 
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,7 +32,7 @@ struct Scale {
     if (cli.get_bool("quick")) s.divide = 8;
     s.divide = cli.get_int("scale", s.divide);
     if (s.divide < 1) s.divide = 1;
-    s.nodes = static_cast<int>(cli.get_int("nodes", 32));
+    s.nodes = static_cast<int>(cli.get_int("nodes", 32, 1, INT_MAX));
     const std::string b = cli.get("backend", "");
     if (b == "fiber") {
       s.backend = sim::Backend::kFiber;
@@ -42,7 +43,7 @@ struct Scale {
                    "--backend: expected fiber or parallel, got '"
                        << b << "'");
     }
-    s.workers = static_cast<int>(cli.get_int("workers", 0));
+    s.workers = static_cast<int>(cli.get_int("workers", 0, 0, INT_MAX));
     return s;
   }
 

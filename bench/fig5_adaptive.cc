@@ -17,9 +17,10 @@ int main(int argc, char** argv) {
 
   apps::AdaptiveParams params;  // paper: 128x128 mesh, 100 iterations
   params.n = static_cast<std::size_t>(
-      cli.get_int("mesh", static_cast<std::int64_t>(params.n)));
+      cli.get_int("mesh", static_cast<std::int64_t>(params.n), 1, INT_MAX));
   params.iters =
-      static_cast<int>(cli.get_int("iters", params.iters) / scale.divide);
+      static_cast<int>(cli.get_int("iters", params.iters, 0, INT_MAX) /
+                       scale.divide);
   const auto trace_cfg = bench::trace_from_cli(cli);
   cli.reject_unknown();
   if (scale.divide > 1 && params.n > 32) params.n /= 2;

@@ -18,9 +18,11 @@ int main(int argc, char** argv) {
 
   apps::BarnesParams params;  // paper: 16384 bodies, 3 iterations
   params.bodies = static_cast<std::size_t>(
-      cli.get_int("bodies", static_cast<std::int64_t>(params.bodies)) /
+      cli.get_int("bodies", static_cast<std::int64_t>(params.bodies), 0,
+                  INT_MAX) /
       scale.divide);
-  params.steps = static_cast<int>(cli.get_int("steps", params.steps));
+  params.steps =
+      static_cast<int>(cli.get_int("steps", params.steps, 0, INT_MAX));
   const auto trace_cfg = bench::trace_from_cli(cli);
   cli.reject_unknown();
   if (params.bodies < 64) params.bodies = 64;

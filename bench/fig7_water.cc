@@ -18,10 +18,12 @@ int main(int argc, char** argv) {
 
   apps::WaterParams params;  // paper: 512 molecules, 20 time steps
   params.molecules = static_cast<std::size_t>(
-      cli.get_int("molecules", static_cast<std::int64_t>(params.molecules)) /
+      cli.get_int("molecules", static_cast<std::int64_t>(params.molecules), 0,
+                  INT_MAX) /
       scale.divide);
   params.steps =
-      static_cast<int>(cli.get_int("steps", params.steps) / scale.divide);
+      static_cast<int>(cli.get_int("steps", params.steps, 0, INT_MAX) /
+                       scale.divide);
   if (params.molecules < 64) params.molecules = 64;
   if (params.steps < 2) params.steps = 2;
 

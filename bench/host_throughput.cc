@@ -26,6 +26,7 @@
 // fails the build instead of landing silently.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -335,33 +336,40 @@ constexpr double kPr3BarnesWallS = 0.2865;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick");
-  const int micro_nodes = static_cast<int>(cli.get_int("micro-nodes", 4));
-  const int blocks = static_cast<int>(cli.get_int("blocks", quick ? 64 : 512));
-  const int rounds = static_cast<int>(cli.get_int("rounds", quick ? 4 : 192));
-  const int barnes_nodes = static_cast<int>(cli.get_int("barnes-nodes", 8));
+  const int micro_nodes =
+      static_cast<int>(cli.get_int("micro-nodes", 4, 1, INT_MAX));
+  const int blocks =
+      static_cast<int>(cli.get_int("blocks", quick ? 64 : 512, 1, INT_MAX));
+  const int rounds =
+      static_cast<int>(cli.get_int("rounds", quick ? 4 : 192, 0, INT_MAX));
+  const int barnes_nodes =
+      static_cast<int>(cli.get_int("barnes-nodes", 8, 1, INT_MAX));
   const std::size_t bodies = static_cast<std::size_t>(
-      cli.get_int("bodies", quick ? 256 : 2048));
-  const int steps = static_cast<int>(cli.get_int("steps", 2));
-  const int water_nodes = static_cast<int>(cli.get_int("water-nodes", 8));
+      cli.get_int("bodies", quick ? 256 : 2048, 1, INT_MAX));
+  const int steps = static_cast<int>(cli.get_int("steps", 2, 0, INT_MAX));
+  const int water_nodes =
+      static_cast<int>(cli.get_int("water-nodes", 8, 1, INT_MAX));
   const std::size_t molecules = static_cast<std::size_t>(
-      cli.get_int("molecules", quick ? 128 : 512));
-  const int water_steps = static_cast<int>(cli.get_int("water-steps", 2));
-  const int ranker_nodes = static_cast<int>(cli.get_int("ranker-nodes", 8));
+      cli.get_int("molecules", quick ? 128 : 512, 1, INT_MAX));
+  const int water_steps =
+      static_cast<int>(cli.get_int("water-steps", 2, 0, INT_MAX));
+  const int ranker_nodes =
+      static_cast<int>(cli.get_int("ranker-nodes", 8, 1, INT_MAX));
   const std::size_t ranker_vertices = static_cast<std::size_t>(
-      cli.get_int("ranker-vertices", quick ? 256 : 1024));
+      cli.get_int("ranker-vertices", quick ? 256 : 1024, 1, INT_MAX));
   const int ranker_iters =
-      static_cast<int>(cli.get_int("ranker-iters", quick ? 2 : 8));
+      static_cast<int>(cli.get_int("ranker-iters", quick ? 2 : 8, 0, INT_MAX));
   const double min_micro_eps =
       static_cast<double>(cli.get_int("min-micro-eps", 0));
   const std::string backend_s = cli.get("backend", "");
   PRESTO_CHECK(backend_s.empty() || backend_s == "parallel",
                "--backend: expected 'parallel', got '" << backend_s << "'");
-  const int req_workers = static_cast<int>(cli.get_int("workers", 4));
-  PRESTO_CHECK(req_workers >= 1, "--workers must be >= 1");
+  const int req_workers =
+      static_cast<int>(cli.get_int("workers", 4, 1, INT_MAX));
   // Host-only tuning knob: cap on consecutive spin-acquired window releases
   // per helper before it must park (0 = uncapped). Results-invariant.
-  const int batch_windows = static_cast<int>(cli.get_int("batch-windows", 0));
-  PRESTO_CHECK(batch_windows >= 0, "--batch-windows must be >= 0");
+  const int batch_windows =
+      static_cast<int>(cli.get_int("batch-windows", 0, 0, INT_MAX));
   // Off by default: a single-core host serializes the worker pool, so a
   // speedup floor only means something on a machine with real cores. CI legs
   // that want to gate scaling pass e.g. --min-parallel-speedup=3.0.

@@ -10,12 +10,17 @@
 //     point reports measured metadata_bytes next to what the pre-sparse
 //     dense layouts (nodes² channel table + per-node full tag arrays) would
 //     have allocated for the same machine.
+//   * What do the nodes' local copies of shared data hold? space_bytes is
+//     GlobalSpace::resident_bytes(): the page-copy spines plus the host
+//     arenas that tags and cached slots are carved from.
 //
 // Emits results/BENCH_scale.json (--json=... overrides; --quick skips the
-// write by default, like host_throughput). --max-metadata-bytes=N exits
-// non-zero if any measured point exceeds N — the CI perf-smoke leg passes a
-// ceiling so a quadratic-metadata regression fails the build.
+// write by default, like host_throughput). --max-metadata-bytes=N and
+// --max-space-bytes=N exit non-zero if any measured point exceeds N — the CI
+// perf-smoke leg passes both ceilings so quadratic metadata, or node-local
+// storage that stops tracking the touched working set, fails the build.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -48,6 +53,7 @@ struct SweepPoint {
   std::uint64_t presend_blocks = 0;
   std::size_t metadata_bytes = 0;
   std::size_t dense_equiv_bytes = 0;
+  std::size_t space_bytes = 0;
   double wall_s = 0.0;
 };
 
@@ -174,6 +180,7 @@ SweepPoint run_point(int nodes, std::uint32_t block, const char* pattern,
       sys.space().size_bytes() / sys.space().block_size();
   p.dense_equiv_bytes = net::Network::dense_equiv_bytes(nodes) +
                         static_cast<std::size_t>(nodes) * nblocks;
+  p.space_bytes = sys.space().resident_bytes();
   return p;
 }
 
@@ -182,9 +189,11 @@ SweepPoint run_point(int nodes, std::uint32_t block, const char* pattern,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick");
-  const int rounds = static_cast<int>(cli.get_int("rounds", quick ? 3 : 4));
-  const int cluster = static_cast<int>(cli.get_int("cluster", 16));
+  const int rounds =
+      static_cast<int>(cli.get_int("rounds", quick ? 3 : 4, 1, INT_MAX));
+  const int cluster = static_cast<int>(cli.get_int("cluster", 16, 0, INT_MAX));
   const long long max_meta = cli.get_int("max-metadata-bytes", 0);
+  const long long max_space = cli.get_int("max-space-bytes", 0);
   const std::string json_path =
       cli.get("json", quick ? "" : "results/BENCH_scale.json");
   cli.reject_unknown();
@@ -199,16 +208,17 @@ int main(int argc, char** argv) {
             : std::vector<std::uint32_t>{32, 64, 128, 256};
 
   std::vector<SweepPoint> points;
-  bool meta_ok = true;
+  bool bounds_ok = true;
   const auto print_point = [](const SweepPoint& p) {
     std::printf(
         "%-5s nodes=%4d block=%3u %-12s cluster=%-2d exec=%llu ns msgs=%llu "
-        "faults=%llu presends=%llu meta=%zu dense_equiv=%zu wall=%.3fs\n",
+        "faults=%llu presends=%llu meta=%zu dense_equiv=%zu space=%zu "
+        "wall=%.3fs\n",
         p.pattern, p.nodes, p.block, p.protocol, p.cluster_nodes,
         (unsigned long long)p.exec_time, (unsigned long long)p.msgs,
         (unsigned long long)p.read_faults,
         (unsigned long long)p.presend_blocks, p.metadata_bytes,
-        p.dense_equiv_bytes, p.wall_s);
+        p.dense_equiv_bytes, p.space_bytes, p.wall_s);
     std::fflush(stdout);
   };
   for (const char* pattern : {"ring", "bcast"}) {
@@ -273,7 +283,15 @@ int main(int argc, char** argv) {
                    "FAIL: metadata %zu bytes above ceiling %lld at nodes=%d "
                    "block=%u %s\n",
                    p.metadata_bytes, max_meta, p.nodes, p.block, p.protocol);
-      meta_ok = false;
+      bounds_ok = false;
+    }
+    if (max_space > 0 && p.space_bytes > static_cast<std::size_t>(max_space)) {
+      std::fprintf(stderr,
+                   "FAIL: space %zu bytes above ceiling %lld at nodes=%d "
+                   "block=%u %s %s\n",
+                   p.space_bytes, max_space, p.nodes, p.block, p.pattern,
+                   p.protocol);
+      bounds_ok = false;
     }
     // Dense-width points (<= 64 nodes) ARE the dense layout; only sparse
     // machines must come in under it.
@@ -300,25 +318,26 @@ int main(int argc, char** argv) {
           "\"bytes\": %llu, \"read_faults\": %llu, \"write_faults\": %llu, "
           "\"cc_flushes\": %llu, \"presend_blocks\": %llu, "
           "\"metadata_bytes\": %zu, \"dense_equiv_bytes\": %zu, "
-          "\"wall_s\": %.4f}%s\n",
+          "\"space_bytes\": %zu, \"wall_s\": %.4f}%s\n",
           p.pattern, p.nodes, p.block, p.protocol, p.cluster_nodes,
           (unsigned long long)p.exec_time, (unsigned long long)p.msgs,
           (unsigned long long)p.bytes, (unsigned long long)p.read_faults,
           (unsigned long long)p.write_faults,
           (unsigned long long)p.cc_flushes,
           (unsigned long long)p.presend_blocks, p.metadata_bytes,
-          p.dense_equiv_bytes, p.wall_s,
+          p.dense_equiv_bytes, p.space_bytes, p.wall_s,
           i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n"
                  "  \"note\": \"exec_time is simulated; metadata_bytes is "
                  "resident host metadata vs the pre-sparse dense-layout "
-                 "equivalent for the same machine; see "
+                 "equivalent for the same machine; space_bytes is the "
+                 "nodes' resident page copies and cached slots; see "
                  "docs/performance.md #10\"\n"
                  "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return meta_ok ? 0 : 1;
+  return bounds_ok ? 0 : 1;
 }

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   const auto scale = bench::Scale::from_cli(cli);
   const auto protocols = bench::protocols_from_cli(cli);
   const int jobs =
-      static_cast<int>(cli.get_int("jobs", util::default_pool_jobs()));
+      static_cast<int>(cli.get_int("jobs", util::default_pool_jobs(), 1,
+                                   INT_MAX));
   const auto trace_cfg = bench::trace_from_cli(cli);
   cli.reject_unknown();
 

@@ -3,6 +3,7 @@
 // print where the time went.
 //
 //   $ ./build/examples/adaptive_demo --mesh=64 --iters=30 --nodes=16
+#include <climits>
 #include <cstdio>
 
 #include "apps/adaptive/adaptive.h"
@@ -15,10 +16,11 @@ using namespace presto;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   apps::AdaptiveParams params;
-  params.n = static_cast<std::size_t>(cli.get_int("mesh", 64));
-  params.iters = static_cast<int>(cli.get_int("iters", 30));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 16));
-  const auto block = static_cast<std::uint32_t>(cli.get_int("block", 32));
+  params.n = static_cast<std::size_t>(cli.get_int("mesh", 64, 1, INT_MAX));
+  params.iters = static_cast<int>(cli.get_int("iters", 30, 0, INT_MAX));
+  const int nodes = static_cast<int>(cli.get_int("nodes", 16, 1, INT_MAX));
+  const auto block =
+      static_cast<std::uint32_t>(cli.get_int("block", 32, 1, UINT32_MAX));
   const auto trace_cfg = trace::TraceConfig::from_spec(cli.get("trace", ""));
   cli.reject_unknown();
 

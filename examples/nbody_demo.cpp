@@ -4,6 +4,7 @@
 // protocol.
 //
 //   $ ./build/examples/nbody_demo --bodies=1024 --steps=3 --nodes=16
+#include <climits>
 #include <cstdio>
 
 #include "apps/barnes/barnes.h"
@@ -16,10 +17,12 @@ using namespace presto;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   apps::BarnesParams params;
-  params.bodies = static_cast<std::size_t>(cli.get_int("bodies", 1024));
-  params.steps = static_cast<int>(cli.get_int("steps", 3));
-  const int nodes = static_cast<int>(cli.get_int("nodes", 16));
-  const auto block = static_cast<std::uint32_t>(cli.get_int("block", 64));
+  params.bodies =
+      static_cast<std::size_t>(cli.get_int("bodies", 1024, 1, INT_MAX));
+  params.steps = static_cast<int>(cli.get_int("steps", 3, 0, INT_MAX));
+  const int nodes = static_cast<int>(cli.get_int("nodes", 16, 1, INT_MAX));
+  const auto block =
+      static_cast<std::uint32_t>(cli.get_int("block", 64, 1, UINT32_MAX));
   const auto trace_cfg = trace::TraceConfig::from_spec(cli.get("trace", ""));
   cli.reject_unknown();
 

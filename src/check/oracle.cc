@@ -409,7 +409,7 @@ std::size_t Oracle::final_sweep() {
     for (int node = 0; node < space_.nodes(); ++node) {
       if (space_.tag(node, b) == mem::Tag::Invalid) continue;
       const std::byte* have = space_.peek_block(node, b);
-      if (have == nullptr) continue;  // tag granted, frame never touched
+      if (have == nullptr) continue;  // not taken: valid tags have slots
       ++compared;
       if (std::memcmp(have, want, bsz) != 0)
         violation(node, b,

@@ -16,6 +16,7 @@
 // failure was found (trace dumped to --dump-dir) or a replay still fails.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -84,21 +85,20 @@ int main(int argc, char** argv) {
   const bool latency_sweep = cli.get_int("latency-sweep", 1) != 0;
   const std::int64_t time_budget = cli.get_int("time-budget", 0);  // seconds
   const int shrink_attempts =
-      static_cast<int>(cli.get_int("shrink-attempts", 200));
+      static_cast<int>(cli.get_int("shrink-attempts", 200, 0, INT_MAX));
   int jobs = static_cast<int>(
-      cli.get_int("jobs", presto::util::default_pool_jobs()));
+      cli.get_int("jobs", presto::util::default_pool_jobs(), 1, INT_MAX));
   const std::string backend = cli.get("backend", "");
   int parallel_workers = 0;
   if (backend == "parallel") {
-    parallel_workers = static_cast<int>(cli.get_int("workers", 4));
-    PRESTO_CHECK(parallel_workers >= 1, "--workers must be >= 1");
+    parallel_workers = static_cast<int>(cli.get_int("workers", 4, 1, INT_MAX));
   } else {
     PRESTO_CHECK(backend.empty(),
                  "--backend: expected 'parallel', got '" << backend << "'");
-    (void)cli.get_int("workers", 0);  // accepted, meaningful with --backend
+    // Accepted, but meaningful only with --backend.
+    (void)cli.get_int("workers", 0, 0, INT_MAX);
   }
   cli.reject_unknown();
-  PRESTO_CHECK(jobs >= 1, "--jobs must be >= 1");
 
   if (do_selfcheck) return selfcheck(latency_sweep, parallel_workers);
   if (!replay_path.empty())

@@ -1,6 +1,8 @@
 #include "mem/global_space.h"
 
+#include <algorithm>
 #include <bit>
+#include <memory>
 
 namespace presto::mem {
 
@@ -9,6 +11,22 @@ int log2_exact(std::uint32_t v) {
   PRESTO_CHECK(std::has_single_bit(v), "not a power of two: " << v);
   return std::countr_zero(v);
 }
+
+// Slot size floor: a node caching one block of a page pays for one slot of
+// max(block, kMinSlotBytes) bytes (capped at the page), not a page frame.
+constexpr std::uint32_t kMinSlotBytes = 256;
+// Host arena chunk sizes: a node's first chunk is kFirstChunk bytes and each
+// later one doubles, capped at kMaxChunkSlots slots but never smaller than
+// the request. A node that caches a few blocks holds about a kilobyte, and
+// the unused tail of a node's newest chunk stays below kMaxChunkSlots slots.
+constexpr std::size_t kFirstChunk = 1024;
+constexpr std::size_t kMaxChunkSlots = 64;
+// Carve granularity; matches operator new's alignment.
+constexpr std::size_t kCarveAlign = 16;
+
+std::uint32_t slot_bytes(const MemConfig& cfg) {
+  return std::min(cfg.page_size, std::max(cfg.block_size, kMinSlotBytes));
+}
 }  // namespace
 
 GlobalSpace::GlobalSpace(int nodes, const MemConfig& cfg)
@@ -16,22 +34,24 @@ GlobalSpace::GlobalSpace(int nodes, const MemConfig& cfg)
       cfg_(cfg),
       block_shift_(log2_exact(cfg.block_size)),
       page_shift_(log2_exact(cfg.page_size)),
-      tag_chunk_shift_(page_shift_ - block_shift_),
-      tag_chunk_mask_((1ULL << (page_shift_ - block_shift_)) - 1),
-      tags_(static_cast<std::size_t>(nodes)),
-      frames_(static_cast<std::size_t>(nodes)),
+      spine_(static_cast<std::size_t>(nodes)),
+      host_(static_cast<std::size_t>(nodes)),
       arenas_(static_cast<std::size_t>(nodes)) {
   PRESTO_CHECK(nodes > 0 && nodes <= 65536, "node count " << nodes);
   PRESTO_CHECK(cfg.page_size % cfg.block_size == 0,
                "page size not a multiple of block size");
+  slot_shift_ = log2_exact(slot_bytes(cfg));
+  slot_mask_ = (Addr{1} << slot_shift_) - 1;
+  const std::size_t bpp = cfg.page_size / cfg.block_size;
+  tag_mask_ = bpp - 1;
+  tag_bytes_ = (bpp + alignof(std::byte*) - 1) & ~(alignof(std::byte*) - 1);
+  copy_bytes_ = tag_bytes_ +
+                (cfg.page_size >> slot_shift_) * sizeof(std::byte*);
 }
 
 void GlobalSpace::grow_to(std::size_t new_size) {
   const std::size_t npages = new_size >> page_shift_;
-  for (int n = 0; n < nodes_; ++n) {
-    tags_[static_cast<std::size_t>(n)].resize(npages);
-    frames_[static_cast<std::size_t>(n)].resize(npages);
-  }
+  for (auto& per_node : spine_) per_node.resize(npages, nullptr);
   page_home_.resize(npages, -1);
   size_ = new_size;
 }
@@ -111,30 +131,52 @@ void GlobalSpace::set_commutative(Addr base, std::size_t bytes) {
     commutative_[static_cast<std::size_t>(b)] = 1;
 }
 
-std::uint8_t* GlobalSpace::materialize_tags(int node, PageId p) {
-  auto& c = tags_[static_cast<std::size_t>(node)][static_cast<std::size_t>(p)];
-  const std::size_t bpp = cfg_.page_size / cfg_.block_size;
-  c = std::make_unique<std::uint8_t[]>(bpp);
-  std::memset(c.get(), static_cast<int>(Tag::Invalid), bpp);
-  return c.get();
-}
-
-std::size_t GlobalSpace::tag_bytes_resident() const {
-  const std::size_t bpp = cfg_.page_size / cfg_.block_size;
-  std::size_t n = 0;
-  for (const auto& per_node : tags_) {
-    n += per_node.capacity() * sizeof(per_node[0]);
-    for (const auto& c : per_node)
-      if (c != nullptr) n += bpp;
+std::byte* GlobalSpace::carve(int node, std::size_t bytes) {
+  HostArena& ar = host_[static_cast<std::size_t>(node)];
+  bytes = (bytes + kCarveAlign - 1) & ~(kCarveAlign - 1);
+  if (bytes > ar.left) {
+    const std::size_t max_chunk = kMaxChunkSlots << slot_shift_;
+    // (The clamp only keeps the shift defined; max_chunk binds far sooner.)
+    const std::size_t doublings = std::min<std::size_t>(ar.chunks.size(), 20);
+    const std::size_t chunk = std::max(
+        std::min(kFirstChunk << doublings, max_chunk), bytes);
+    ar.chunks.push_back(std::make_unique_for_overwrite<std::byte[]>(chunk));
+    ar.cur = ar.chunks.back().get();
+    ar.left = chunk;
+    ar.held += chunk;
   }
-  return n;
+  std::byte* p = ar.cur;
+  ar.cur += bytes;
+  ar.left -= bytes;
+  std::memset(p, 0, bytes);
+  return p;
 }
 
-std::byte* GlobalSpace::materialize_frame(int node, PageId p) {
-  auto& f = frames_[static_cast<std::size_t>(node)][static_cast<std::size_t>(p)];
-  f = std::make_unique<std::byte[]>(cfg_.page_size);
-  std::memset(f.get(), 0, cfg_.page_size);
-  return f.get();
+std::uint8_t* GlobalSpace::materialize_copy(int node, PageId p) {
+  // Zeroed, so every tag reads Invalid; the slot pointers start null.
+  auto* pc = reinterpret_cast<std::uint8_t*>(carve(node, copy_bytes_));
+  std::uninitialized_value_construct_n(
+      reinterpret_cast<std::byte**>(pc + tag_bytes_),
+      (copy_bytes_ - tag_bytes_) / sizeof(std::byte*));
+  spine_[static_cast<std::size_t>(node)][static_cast<std::size_t>(p)] = pc;
+  return pc;
+}
+
+std::byte* GlobalSpace::materialize_slot(int node, std::uint8_t* pc,
+                                         std::size_t slot) {
+  std::byte* s = carve(node, std::size_t{1} << slot_shift_);
+  reinterpret_cast<std::byte**>(pc + tag_bytes_)[slot] = s;
+  return s;
+}
+
+std::size_t GlobalSpace::resident_bytes() const {
+  std::size_t n = spine_.capacity() * sizeof(spine_[0]) +
+                  host_.capacity() * sizeof(host_[0]);
+  for (const auto& per_node : spine_)
+    n += per_node.capacity() * sizeof(per_node[0]);
+  for (const HostArena& ar : host_)
+    n += ar.held + ar.chunks.capacity() * sizeof(ar.chunks[0]);
+  return n;
 }
 
 void GlobalSpace::resolve_fault(int node, BlockId b, bool is_write) {

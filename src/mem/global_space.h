@@ -3,12 +3,14 @@
 //
 // The space is carved into pages (home-assignment granularity, as in C**'s
 // page-grain data distribution) and cache blocks (coherence granularity,
-// 32–1024 bytes). Every node keeps its own copy of any page it touches plus
-// a per-block access tag {Invalid, ReadOnly, ReadWrite}; an access that the
-// tag does not permit vectors to a user-level fault handler (the coherence
-// protocol), which blocks the accessing processor until the tag is upgraded.
-// Data genuinely moves between per-node frames, so coherence-protocol bugs
-// corrupt application results and are caught by the numeric tests.
+// 32–1024 bytes). Every node keeps a sparse copy of each page it touches: the
+// page's per-block access tags {Invalid, ReadOnly, ReadWrite} plus the data
+// of only those fixed sub-page slots it has actually cached. An access that
+// the tag does not permit vectors to a user-level fault handler (the
+// coherence protocol), which blocks the accessing processor until the tag is
+// upgraded. Data genuinely moves between per-node copies, so
+// coherence-protocol bugs corrupt application results and are caught by the
+// numeric tests.
 //
 // The access path mirrors the hardware split Blizzard emulates in software:
 // the tag check plus data copy for a permitted single-block access is
@@ -104,8 +106,8 @@ class GlobalSpace {
   // node of the i-th page of the allocation. Returns the base address.
   Addr alloc(std::size_t bytes, const std::function<int(PageId)>& home);
 
-  // Serializer for structural growth: alloc resizes every node's tag and
-  // frame tables, which no concurrently-draining lane may observe. A
+  // Serializer for structural growth: alloc resizes every node's page-copy
+  // spine, which no concurrently-draining lane may observe. A
   // windowed engine installs its window-boundary gate here
   // (sim::Engine::boundary_gate); unset (the default), growth runs inline.
   void set_grow_gate(std::function<void(std::function<void()>)> gate) {
@@ -141,52 +143,52 @@ class GlobalSpace {
 
   // ---- Access control ------------------------------------------------------
 
-  // Tags are stored in page-granularity chunks materialized on first
-  // set_tag: a node that never touches a page holds a null pointer for it,
-  // which reads as Invalid — so per-node tag storage is O(pages touched),
-  // not O(nodes × blocks), and a 1024-node space stays affordable.
+  // Each node holds, per page it has touched, one page copy: the page's tag
+  // bytes followed by one data pointer per slot (a fixed sub-page unit of
+  // max(block size, 256 B), capped at the page). A page the node never
+  // touched has a null spine entry and reads as all-Invalid; a slot is
+  // carved, zeroed, from the node's host arena on first use. Invariant: a
+  // block whose tag is not Invalid has its slot resident, so a permitted
+  // access needs no allocation check. Per-node storage is O(slots cached)
+  // plus the O(pages) spine, not O(nodes × blocks) or a frame per page.
   Tag tag(int node, BlockId b) const {
-    const std::uint8_t* c =
-        tags_[static_cast<std::size_t>(node)]
-             [static_cast<std::size_t>(b >> tag_chunk_shift_)]
-                 .get();
-    if (c == nullptr) return Tag::Invalid;
-    return static_cast<Tag>(c[b & tag_chunk_mask_]);
+    const std::uint8_t* pc = copy_of(node, page_of_block(b));
+    if (pc == nullptr) return Tag::Invalid;
+    return static_cast<Tag>(pc[b & tag_mask_]);
   }
   void set_tag(int node, BlockId b, Tag t) {
-    std::uint8_t* c = tags_[static_cast<std::size_t>(node)]
-                           [static_cast<std::size_t>(b >> tag_chunk_shift_)]
-                               .get();
-    if (c == nullptr) {
-      if (t == Tag::Invalid) return;  // null chunk already reads as Invalid
-      c = materialize_tags(node, static_cast<PageId>(b >> tag_chunk_shift_));
+    std::uint8_t* pc = copy_of(node, page_of_block(b));
+    if (pc == nullptr) {
+      if (t == Tag::Invalid) return;  // a missing copy already reads Invalid
+      pc = materialize_copy(node, page_of_block(b));
     }
-    c[b & tag_chunk_mask_] = static_cast<std::uint8_t>(t);
+    pc[b & tag_mask_] = static_cast<std::uint8_t>(t);
+    if (t != Tag::Invalid) (void)slot_of(node, pc, block_base(b));
   }
 
-  // Host bytes held by materialized tag chunks and the per-node chunk
-  // tables (telemetry for the scale benchmarks).
-  std::size_t tag_bytes_resident() const;
+  // Host bytes held for node-local copies: the per-node page spines plus the
+  // host arena chunks that page copies and slots are carved from (telemetry
+  // for the scale benchmarks; deterministic for a given run).
+  std::size_t resident_bytes() const;
 
-  // Node-local bytes of block b if its page frame has been materialized,
-  // else nullptr. Never allocates — safe for whole-space validation sweeps.
+  // Node-local bytes of block b if its slot has been materialized, else
+  // nullptr. Never allocates — safe for whole-space validation sweeps.
   const std::byte* peek_block(int node, BlockId b) const {
-    const PageId p = page_of_block(b);
-    const std::byte* f =
-        frames_[static_cast<std::size_t>(node)][static_cast<std::size_t>(p)]
-            .get();
-    if (f == nullptr) return nullptr;
-    return f + (block_base(b) & (cfg_.page_size - 1));
+    const std::uint8_t* pc = copy_of(node, page_of_block(b));
+    if (pc == nullptr) return nullptr;
+    const Addr a = block_base(b);
+    const std::byte* s = slots(pc)[slot_index(a)];
+    return s == nullptr ? nullptr : s + (a & slot_mask_);
   }
 
-  // Pointer to the node-local bytes of block b (frame allocated on demand).
+  // Pointer to the node-local bytes of block b (slot allocated on demand).
+  // The pointer stays valid for the life of the space.
   std::byte* block_data(int node, BlockId b) {
     const PageId p = page_of_block(b);
-    std::byte* f =
-        frames_[static_cast<std::size_t>(node)][static_cast<std::size_t>(p)]
-            .get();
-    if (f == nullptr) f = materialize_frame(node, p);
-    return f + (block_base(b) & (cfg_.page_size - 1));
+    std::uint8_t* pc = copy_of(node, p);
+    if (pc == nullptr) pc = materialize_copy(node, p);
+    const Addr a = block_base(b);
+    return slot_of(node, pc, a) + (a & slot_mask_);
   }
 
   // ---- Application access path (runs on the node's processor thread) ------
@@ -205,9 +207,11 @@ class GlobalSpace {
     const std::size_t off =
         static_cast<std::size_t>(a) & (cfg_.block_size - 1);
     const BlockId b = block_of(a);
-    if (off + n <= cfg_.block_size && tag(node, b) != Tag::Invalid)
+    const std::uint8_t* pc = copy_of(node, page_of(a));
+    if (off + n <= cfg_.block_size && pc != nullptr &&
+        pc[b & tag_mask_] != static_cast<std::uint8_t>(Tag::Invalid))
         [[likely]] {
-      std::memcpy(out, block_data(node, b) + off, n);
+      std::memcpy(out, slots(pc)[slot_index(a)] + (a & slot_mask_), n);
       if (observer_ != nullptr) [[unlikely]]
         observer_->on_app_read(node, b, off, out, n);
       return;
@@ -219,9 +223,11 @@ class GlobalSpace {
     const std::size_t off =
         static_cast<std::size_t>(a) & (cfg_.block_size - 1);
     const BlockId b = block_of(a);
-    if (off + n <= cfg_.block_size && tag(node, b) == Tag::ReadWrite)
+    const std::uint8_t* pc = copy_of(node, page_of(a));
+    if (off + n <= cfg_.block_size && pc != nullptr &&
+        pc[b & tag_mask_] == static_cast<std::uint8_t>(Tag::ReadWrite))
         [[likely]] {
-      std::memcpy(block_data(node, b) + off, in, n);
+      std::memcpy(slots(pc)[slot_index(a)] + (a & slot_mask_), in, n);
       if (observer_ != nullptr) [[unlikely]]
         observer_->on_app_write(node, b, off, in, n);
       return;
@@ -249,8 +255,30 @@ class GlobalSpace {
  private:
   Addr alloc_now(std::size_t bytes, const std::function<int(PageId)>& home);
   void grow_to(std::size_t new_size);
-  std::byte* materialize_frame(int node, PageId p);
-  std::uint8_t* materialize_tags(int node, PageId p);
+
+  // ---- Node-local page copies ----------------------------------------------
+  // A page copy is tag_bytes_ tag bytes (blocks per page, padded to pointer
+  // alignment) followed by one pointer per slot of the page (null = not
+  // cached); copy_bytes_ in all.
+  std::uint8_t* copy_of(int node, PageId p) const {
+    return spine_[static_cast<std::size_t>(node)][static_cast<std::size_t>(p)];
+  }
+  std::byte* const* slots(const std::uint8_t* pc) const {
+    return reinterpret_cast<std::byte* const*>(pc + tag_bytes_);
+  }
+  std::size_t slot_index(Addr a) const {
+    return static_cast<std::size_t>((a & (cfg_.page_size - 1)) >> slot_shift_);
+  }
+  // Base of the slot holding address a in page copy pc (carved on demand).
+  std::byte* slot_of(int node, std::uint8_t* pc, Addr a) {
+    std::byte* s = slots(pc)[slot_index(a)];
+    return s != nullptr ? s : materialize_slot(node, pc, slot_index(a));
+  }
+  std::uint8_t* materialize_copy(int node, PageId p);
+  std::byte* materialize_slot(int node, std::uint8_t* pc, std::size_t slot);
+  // Bump-allocates `bytes` zeroed bytes from the node's host arena.
+  std::byte* carve(int node, std::size_t bytes);
+
   void read_slow(int node, Addr a, void* out, std::size_t n);
   void write_slow(int node, Addr a, const void* in, std::size_t n);
   // Vectors to the fault handler until the tag permits the access.
@@ -260,15 +288,27 @@ class GlobalSpace {
   const MemConfig cfg_;
   int block_shift_ = 0;
   int page_shift_ = 0;
-  int tag_chunk_shift_ = 0;  // page_shift_ - block_shift_ (blocks per page)
-  BlockId tag_chunk_mask_ = 0;
+  int slot_shift_ = 0;          // log2 of the slot size
+  Addr slot_mask_ = 0;          // slot size - 1
+  BlockId tag_mask_ = 0;        // blocks per page - 1
+  std::size_t tag_bytes_ = 0;   // tag bytes at the head of a page copy
+  std::size_t copy_bytes_ = 0;  // whole page copy: tags + slot pointers
   std::size_t size_ = 0;
 
   std::vector<int> page_home_;
-  // tags_[node][page] -> per-page tag chunk (null = all Invalid);
-  // frames_[node][page] allocated lazily.
-  std::vector<std::vector<std::unique_ptr<std::uint8_t[]>>> tags_;
-  std::vector<std::vector<std::unique_ptr<std::byte[]>>> frames_;
+  // spine_[node][page] -> the node's page copy (null = never touched).
+  std::vector<std::vector<std::uint8_t*>> spine_;
+
+  // Host memory for one node's page copies and slots. Chunks never move or
+  // shrink, so block_data pointers stay valid; only the owning node's
+  // accesses and handlers carve from it, so windowed lanes never share one.
+  struct HostArena {
+    std::byte* cur = nullptr;
+    std::size_t left = 0;
+    std::size_t held = 0;  // bytes across all chunks
+    std::vector<std::unique_ptr<std::byte[]>> chunks;
+  };
+  std::vector<HostArena> host_;
 
   struct Arena {
     Addr cur = 0;

@@ -83,8 +83,8 @@ std::size_t Network::metadata_bytes() const {
   return n;
 }
 
-sim::Time Network::route(int src, int dst, std::size_t bytes,
-                         sim::Time depart) {
+Network::Routed Network::route(int src, int dst, std::size_t bytes,
+                               sim::Time depart) {
   PRESTO_CHECK(src >= 0 && src < nodes_ && dst >= 0 && dst < nodes_,
                "bad endpoints " << src << "->" << dst);
   const sim::Time latency =
@@ -102,7 +102,7 @@ sim::Time Network::route(int src, int dst, std::size_t bytes,
   per_node_bytes_[static_cast<std::size_t>(src)] += bytes;
   if (observer_ != nullptr) [[unlikely]]
     observer_->on_message(src, dst, bytes, depart, arrival);
-  return arrival;
+  return Routed{ch, arrival};
 }
 
 void Network::schedule_record_delivery(Channel& ch, int dst,
@@ -123,7 +123,8 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
                             std::size_t header_len, const void* payload,
                             std::size_t payload_len) {
   PRESTO_CHECK(sink_ != nullptr, "send_msg with no MsgSink registered");
-  const sim::Time arrival = route(src, dst, wire_bytes, depart);
+  const Routed r = route(src, dst, wire_bytes, depart);
+  const sim::Time arrival = r.arrival;
   if (src != dst && engine_.in_lane_context()) {
     PRESTO_CHECK(engine_.current_lane() == src,
                  "lane " << engine_.current_lane() << " sending as " << src);
@@ -147,9 +148,8 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
                                 sim::InlineFn()});
     return arrival;
   }
-  Channel& ch = channel(src, dst);
-  ch.ring.push(header, header_len, payload, payload_len);
-  schedule_record_delivery(ch, dst, arrival);
+  r.ch.ring.push(header, header_len, payload, payload_len);
+  schedule_record_delivery(r.ch, dst, arrival);
   return arrival;
 }
 

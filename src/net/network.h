@@ -128,7 +128,7 @@ class Network {
   template <typename F>
   sim::Time send(int src, int dst, std::size_t bytes, sim::Time depart,
                  F&& deliver) {
-    const sim::Time arrival = route(src, dst, bytes, depart);
+    const sim::Time arrival = route(src, dst, bytes, depart).arrival;
     if (src != dst && engine_.in_lane_context()) {
       stage_fn(src, dst, arrival, sim::InlineFn(std::forward<F>(deliver)));
     } else {
@@ -219,8 +219,14 @@ class Network {
   };
   static constexpr std::uint32_t kSparseChunk = 8;  // channels per chunk
 
-  // Computes the FIFO-clamped arrival time and records traffic stats.
-  sim::Time route(int src, int dst, std::size_t bytes, sim::Time depart);
+  // Computes the FIFO-clamped arrival time and records traffic stats; hands
+  // back the (src, dst) channel it clamped against, so a sender that also
+  // pushes to the ring looks the channel up once.
+  struct Routed {
+    Channel& ch;
+    sim::Time arrival;
+  };
+  Routed route(int src, int dst, std::size_t bytes, sim::Time depart);
   Channel& channel(int src, int dst) {
     if (!channels_.empty())
       return channels_[static_cast<std::size_t>(src) *

@@ -75,6 +75,15 @@ std::int64_t Cli::get_int(std::string_view name, std::int64_t def) const {
   return parsed;
 }
 
+std::int64_t Cli::get_int(std::string_view name, std::int64_t def,
+                          std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t v = get_int(name, def);
+  PRESTO_CHECK(v >= lo && v <= hi, "flag --" << name << " must be in [" << lo
+                                              << ", " << hi << "], got "
+                                              << v);
+  return v;
+}
+
 double Cli::get_double(std::string_view name, double def) const {
   note_query(name, def);
   const auto it = flags_.find(name);

@@ -29,6 +29,11 @@ class Cli {
   std::string get(std::string_view name, const std::string& def) const;
   // Aborts if the value is not a (fully consumed) base-10 integer / number.
   std::int64_t get_int(std::string_view name, std::int64_t def) const;
+  // As above, and aborts naming the flag and the range unless
+  // lo <= value <= hi. Use it wherever the value is narrowed (to int, a
+  // node count, a size), so an out-of-range value cannot wrap silently.
+  std::int64_t get_int(std::string_view name, std::int64_t def,
+                       std::int64_t lo, std::int64_t hi) const;
   double get_double(std::string_view name, double def) const;
   bool get_bool(std::string_view name, bool def = false) const;
 

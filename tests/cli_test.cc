@@ -3,6 +3,7 @@
 // registry.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -109,6 +110,29 @@ TEST(CliDeath, MalformedIntegerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Cli cli = make_cli({"--blocks=12x"});
   EXPECT_DEATH((void)cli.get_int("blocks", 0), "expects an integer");
+}
+
+TEST(Cli, RangedIntegerAcceptsBoundsAndDefault) {
+  const Cli cli = make_cli({"--lo=1", "--hi=2147483647"});
+  EXPECT_EQ(cli.get_int("lo", 7, 1, INT_MAX), 1);
+  EXPECT_EQ(cli.get_int("hi", 7, 1, INT_MAX), INT_MAX);
+  EXPECT_EQ(cli.get_int("missing", 7, 1, INT_MAX), 7);
+}
+
+TEST(CliDeath, RangedIntegerRejectsValuesAnIntCastWouldWrap) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Cli cli = make_cli({"--nodes=4294967300", "--workers=-1"});
+  EXPECT_DEATH((void)cli.get_int("nodes", 32, 1, INT_MAX),
+               "flag --nodes must be in \\[1, 2147483647\\], got 4294967300");
+  EXPECT_DEATH((void)cli.get_int("workers", 0, 0, INT_MAX),
+               "flag --workers must be in \\[0, 2147483647\\], got -1");
+}
+
+// Scale::from_cli is the narrowing site every figure bench shares.
+TEST(CliDeath, BenchScaleRejectsOutOfIntNodeCount) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Cli cli = make_cli({"--nodes=4294967300"});
+  EXPECT_DEATH((void)presto::bench::Scale::from_cli(cli), "flag --nodes");
 }
 
 // The benches take their protocol sweep from the registry: no --protocol
