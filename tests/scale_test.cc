@@ -1,5 +1,5 @@
 // Positive smoke tests above the historical 64-node ceiling: the hybrid
-// NodeSet, chunked tag storage, and sparse channel tables let the same
+// NodeSet, sparse page-copy storage, and sparse channel tables let the same
 // protocols run on 256+-node machines. These are correctness smokes, not
 // goldens (the <= 64-node golden pins stay the bit-identity anchor); the
 // wide-machine cost curves live in bench/scale_sweep.
