@@ -210,7 +210,9 @@ void Oracle::check_read(int node, mem::BlockId b, std::size_t off,
   push_ring(Ev::kRead, node, -1, static_cast<std::uint8_t>(n), b);
 }
 
-void Oracle::on_data_send(int src, int dst, const proto::Msg& m) {
+void Oracle::on_msg_send(int src, int dst, const proto::Msg& m,
+                         std::uint32_t /*wire_bytes*/, sim::Time /*depart*/) {
+  if (m.data_len == 0) return;
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kSend;
@@ -319,10 +321,8 @@ void Oracle::check_install(int node, mem::BlockId b, const std::byte* data,
   ++installs_checked_;
 }
 
-void Oracle::on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                        sim::Time arrival) {
-  (void)depart;
-  (void)arrival;
+void Oracle::on_message(int src, int dst, std::size_t bytes,
+                        sim::Time /*depart*/, sim::Time /*arrival*/) {
   if (LaneBuf* lb = defer_target()) {
     // Scalars only; replay pushes the ring entry so triage dumps stay in
     // canonical order alongside the replayed checks.

@@ -29,10 +29,10 @@
 //
 // Observation is pure: the oracle never charges simulated time or schedules
 // events, so results are bit-identical with or without it. It is compiled in
-// always and attached per System when enabled — a runtime flag
-// (PRESTO_ORACLE=1/0) or by default in builds without NDEBUG (Debug /
-// sanitizer CI). Detached, the hot paths pay one null-pointer test
-// (mem/global_space.h read()/write(), proto/protocol.cc post()).
+// always and subscribes to the observation bus (trace/hooks.h) of a System
+// when enabled — a runtime flag (PRESTO_ORACLE=1/0) or by default in builds
+// without NDEBUG (Debug / sanitizer CI). With nothing on the bus, the hot
+// paths pay one null-pointer test per hook site.
 //
 // Under a windowed engine (sim/engine.h) hooks fire on concurrently
 // draining lanes, so they cannot touch the shared shadow directly. Each
@@ -55,9 +55,9 @@
 #include <vector>
 
 #include "mem/global_space.h"
-#include "net/network.h"
 #include "proto/protocol.h"
 #include "sim/engine.h"
+#include "trace/hooks.h"
 
 namespace presto::check {
 
@@ -79,9 +79,7 @@ struct Violation {
   mem::BlockId block = 0;
 };
 
-class Oracle final : public mem::AccessObserver,
-                     public proto::CoherenceObserver,
-                     public net::Network::Observer {
+class Oracle final : public trace::Hooks {
  public:
   Oracle(mem::GlobalSpace& space, const sim::Engine* engine, Mode mode,
          FailMode fail);
@@ -93,7 +91,7 @@ class Oracle final : public mem::AccessObserver,
   // kSC, which always checks). Only valid for phase-synchronized programs.
   void set_strict_reads(bool on) { strict_reads_ = on; }
 
-  // ---- mem::AccessObserver --------------------------------------------------
+  // ---- trace::Hooks ---------------------------------------------------------
   void on_app_read(int node, mem::BlockId b, std::size_t off,
                    const void* seen, std::size_t n) override;
   void on_app_write(int node, mem::BlockId b, std::size_t off,
@@ -106,12 +104,11 @@ class Oracle final : public mem::AccessObserver,
   void on_cc_update(int node, mem::BlockId b, std::size_t off,
                     std::int64_t delta) override;
 
-  // ---- proto::CoherenceObserver ---------------------------------------------
-  void on_data_send(int src, int dst, const proto::Msg& m) override;
+  // Data-carrying messages only (data_len != 0): checks presend coherence.
+  void on_msg_send(int src, int dst, const proto::Msg& m,
+                   std::uint32_t wire_bytes, sim::Time depart) override;
   void on_install(int node, mem::BlockId b, const std::byte* data,
                   mem::Tag tag) override;
-
-  // ---- net::Network::Observer -----------------------------------------------
   void on_message(int src, int dst, std::size_t bytes, sim::Time depart,
                   sim::Time arrival) override;
 

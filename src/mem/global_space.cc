@@ -201,8 +201,8 @@ void GlobalSpace::read_slow(int node, Addr a, void* out, std::size_t n) {
     const std::byte* src =
         block_data(node, b) + (a & (cfg_.block_size - 1));
     std::memcpy(dst, src, chunk);
-    if (observer_ != nullptr) [[unlikely]]
-      observer_->on_app_read(node, b, a & (cfg_.block_size - 1), dst, chunk);
+    if (hooks_ != nullptr) [[unlikely]]
+      hooks_->on_app_read(node, b, a & (cfg_.block_size - 1), dst, chunk);
     a += chunk;
     dst += chunk;
     n -= chunk;
@@ -220,8 +220,8 @@ void GlobalSpace::write_slow(int node, Addr a, const void* in, std::size_t n) {
     const std::size_t chunk = n < in_block ? n : in_block;
     std::byte* dst = block_data(node, b) + (a & (cfg_.block_size - 1));
     std::memcpy(dst, src, chunk);
-    if (observer_ != nullptr) [[unlikely]]
-      observer_->on_app_write(node, b, a & (cfg_.block_size - 1), src, chunk);
+    if (hooks_ != nullptr) [[unlikely]]
+      hooks_->on_app_write(node, b, a & (cfg_.block_size - 1), src, chunk);
     a += chunk;
     src += chunk;
     n -= chunk;
@@ -237,8 +237,8 @@ void GlobalSpace::rmw(int node, Addr a, std::size_t n,
   // with respect to all other simulated processors.
   std::byte* p = block_data(node, b) + (a & (cfg_.block_size - 1));
   fn(p);
-  if (observer_ != nullptr) [[unlikely]]
-    observer_->on_app_write(node, b, a & (cfg_.block_size - 1), p, n);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_app_write(node, b, a & (cfg_.block_size - 1), p, n);
 }
 
 }  // namespace presto::mem

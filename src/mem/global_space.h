@@ -24,6 +24,7 @@
 #include <memory>
 #include <vector>
 
+#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::mem {
@@ -42,33 +43,6 @@ class FaultHandler {
 
  protected:
   ~FaultHandler() = default;
-};
-
-// Observer of every completed application access, at single-block
-// granularity (block-spanning accesses report once per block touched).
-// Implemented by the coherence invariant oracle (check/oracle.h); null in
-// normal runs, so the fast paths pay only a pointer test. Hooks run on the
-// accessing node's thread, after the bytes moved, with the tag still held.
-class AccessObserver {
- public:
-  virtual void on_app_read(int node, BlockId b, std::size_t off,
-                           const void* seen, std::size_t n) = 0;
-  virtual void on_app_write(int node, BlockId b, std::size_t off,
-                            const void* data, std::size_t n) = 0;
-  // Privatized commutative update (ccached protocol, NodeCtx::cc_add):
-  // `delta` will be added to the 64-bit word at byte offset `off` of block b
-  // when the node's update log merges at the home. Defaulted so observers
-  // that predate commutative regions ignore it.
-  virtual void on_cc_update(int node, BlockId b, std::size_t off,
-                            std::int64_t delta) {
-    (void)node;
-    (void)b;
-    (void)off;
-    (void)delta;
-  }
-
- protected:
-  ~AccessObserver() = default;
 };
 
 struct MemConfig {
@@ -195,11 +169,8 @@ class GlobalSpace {
 
   void set_fault_handler(FaultHandler* h) { fault_ = h; }
 
-  // Attaches the invariant oracle (or detaches with nullptr). Observation is
-  // pure: the observer never charges time or schedules events, so simulated
-  // results are bit-identical with or without it.
-  void set_access_observer(AccessObserver* o) { observer_ = o; }
-  AccessObserver* access_observer() const { return observer_; }
+  // Attaches the observation bus (trace/hooks.h), or detaches with nullptr.
+  void set_hooks(trace::Hooks* h) { hooks_ = h; }
 
   // Permitted single-block accesses complete inline; faults and
   // block-spanning accesses take the out-of-line slow path.
@@ -212,8 +183,8 @@ class GlobalSpace {
         pc[b & tag_mask_] != static_cast<std::uint8_t>(Tag::Invalid))
         [[likely]] {
       std::memcpy(out, slots(pc)[slot_index(a)] + (a & slot_mask_), n);
-      if (observer_ != nullptr) [[unlikely]]
-        observer_->on_app_read(node, b, off, out, n);
+      if (hooks_ != nullptr) [[unlikely]]
+        hooks_->on_app_read(node, b, off, out, n);
       return;
     }
     read_slow(node, a, out, n);
@@ -228,8 +199,8 @@ class GlobalSpace {
         pc[b & tag_mask_] == static_cast<std::uint8_t>(Tag::ReadWrite))
         [[likely]] {
       std::memcpy(slots(pc)[slot_index(a)] + (a & slot_mask_), in, n);
-      if (observer_ != nullptr) [[unlikely]]
-        observer_->on_app_write(node, b, off, in, n);
+      if (hooks_ != nullptr) [[unlikely]]
+        hooks_->on_app_write(node, b, off, in, n);
       return;
     }
     write_slow(node, a, in, n);
@@ -323,7 +294,7 @@ class GlobalSpace {
   std::vector<std::uint8_t> commutative_;
 
   FaultHandler* fault_ = nullptr;
-  AccessObserver* observer_ = nullptr;
+  trace::Hooks* hooks_ = nullptr;
   std::function<void(std::function<void()>)> grow_gate_;
 };
 

@@ -100,8 +100,8 @@ Network::Routed Network::route(int src, int dst, std::size_t bytes,
 
   ++per_node_msgs_[static_cast<std::size_t>(src)];
   per_node_bytes_[static_cast<std::size_t>(src)] += bytes;
-  if (observer_ != nullptr) [[unlikely]]
-    observer_->on_message(src, dst, bytes, depart, arrival);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_message(src, dst, bytes, depart, arrival);
   return Routed{ch, arrival};
 }
 

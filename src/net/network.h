@@ -36,7 +36,7 @@
 // Windowed engines (sim/engine.h): a cross-node send issued inside a lane
 // drain may not touch the destination lane's event queue, so it is *staged*
 // in the source node's outbox — routing (the FIFO clamp, traffic counters,
-// the observer call) still happens at send time, on state the source lane
+// the hook call) still happens at send time, on state the source lane
 // owns — and the boundary flush (BoundaryOp::kNet) walks sources 0..N-1 in
 // send order, scheduling each delivery on the destination lane. The flush
 // order is fixed, so message sequence numbers — and therefore every
@@ -69,6 +69,7 @@
 #include "net/record_ring.h"
 #include "sim/engine.h"
 #include "sim/time.h"
+#include "trace/hooks.h"
 
 namespace presto::net {
 
@@ -90,18 +91,6 @@ class Network {
     ~MsgSink() = default;
   };
 
-  // Observer of every routed message (both delivery paths), used by the
-  // coherence oracle's event ring for failure-trace triage. Pure
-  // observation: never charges time or perturbs FIFO clamping.
-  class Observer {
-   public:
-    virtual void on_message(int src, int dst, std::size_t bytes,
-                            sim::Time depart, sim::Time arrival) = 0;
-
-   protected:
-    ~Observer() = default;
-  };
-
   // Widest machine that gets the dense nodes² channel table; larger
   // machines use the per-source sparse tables.
   static constexpr int kDenseNodeLimit = 64;
@@ -109,8 +98,8 @@ class Network {
   Network(sim::Engine& engine, int nodes, const NetConfig& cfg);
 
   void set_msg_sink(MsgSink* sink) { sink_ = sink; }
-  void set_observer(Observer* o) { observer_ = o; }
-  Observer* observer() const { return observer_; }
+  // Attaches the observation bus (trace/hooks.h), or detaches with nullptr.
+  void set_hooks(trace::Hooks* h) { hooks_ = h; }
 
   // Typed fast path: copies header+payload into the channel ring; the sink
   // receives the concatenated record at the arrival time. `wire_bytes` is
@@ -253,7 +242,7 @@ class Network {
   const int nodes_;
   const NetConfig cfg_;
   MsgSink* sink_ = nullptr;
-  Observer* observer_ = nullptr;
+  trace::Hooks* hooks_ = nullptr;
   // Dense nodes² table, [src*nodes + dst]; sized once in the constructor and
   // never resized (delivery events hold Channel pointers). Empty above
   // kDenseNodeLimit, where sparse_ takes over.

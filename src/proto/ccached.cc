@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "check/bughook.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -52,8 +51,8 @@ void CCachedProtocol::cc_update(int node, mem::Addr a, std::int64_t delta) {
   const std::size_t w = off >> 3;
   wl.delta[w] += delta;
   wl.used[w] = 1;
-  if (auto* o = space_.access_observer(); o != nullptr) [[unlikely]]
-    o->on_cc_update(node, b, off, delta);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_cc_update(node, b, off, delta);
 }
 
 void CCachedProtocol::cc_flush(int node) {
@@ -103,8 +102,8 @@ void CCachedProtocol::flush_block(int node, mem::BlockId b) {
   auto& p = proc(node);
   auto& c = rec_.node(node);
   const sim::Time t0 = p.now();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_start(node, b, /*is_write=*/true, t0);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_miss_start(node, b, /*is_write=*/true, t0);
   p.charge(costs_.presend_per_block);  // log marshaling
 
   Msg m;
@@ -120,8 +119,8 @@ void CCachedProtocol::flush_block(int node, mem::BlockId b) {
   set_waiting(node, b);
   while (flush_wait_[static_cast<std::size_t>(node)] != 0) p.block();
   clear_waiting(node);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_end(node, b, /*is_write=*/true, p.now());
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_miss_end(node, b, /*is_write=*/true, p.now());
   c.remote_wait += p.now() - t0;
   ++cc_.flushes;
   cc_.flushed_entries += count;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "check/bughook.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -381,8 +380,8 @@ void PredictiveProtocol::handle_extra(int self, const Msg& m) {
                           : m.data + k * bsz,
                       static_cast<mem::Tag>(m.tag));
       rec_.node(self).presend_blocks_received += m.count;
-      if (trace_ != nullptr) [[unlikely]]
-        trace_->on_presend_install(self, m.src, m.block, m.count,
+      if (hooks_ != nullptr) [[unlikely]]
+        hooks_->on_presend_install(self, m.src, m.block, m.count,
                                    engine_.now());
       Msg r;
       r.type = MsgType::BulkAck;

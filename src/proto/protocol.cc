@@ -1,6 +1,5 @@
 #include "proto/protocol.h"
 
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -62,11 +61,8 @@ void Protocol::post(int src, int dst, const Msg& m, sim::Time depart) {
   auto& c = rec_.node(src);
   ++c.msgs_sent;
   c.bytes_sent += bytes;
-  if (observer_ != nullptr && m.data_len != 0) [[unlikely]]
-    observer_->on_data_send(src, dst, m);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_msg_send(src, dst, static_cast<std::uint8_t>(m.type), m.block,
-                        m.count, static_cast<std::uint32_t>(bytes), depart);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_msg_send(src, dst, m, static_cast<std::uint32_t>(bytes), depart);
   // Header and payload are copied into the (src, dst) channel ring before
   // this returns; m.data may point straight at GlobalSpace frame bytes.
   net_.send_msg(src, dst, bytes, depart, &m, sizeof(Msg), m.data, m.data_len);
@@ -88,12 +84,12 @@ void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
   const sim::Time start = engine_.now() > busy ? engine_.now() : busy;
   const sim::Time done = start + costs_.handler;
   busy = done;
-  if (trace_ != nullptr) [[unlikely]] {
-    // Decode the header only when traced; the untraced arrival path never
-    // touches the record bytes.
+  if (hooks_ != nullptr) [[unlikely]] {
+    // Decode the header only when observed; the unobserved arrival path
+    // never touches the record bytes.
     Msg m;
     std::memcpy(&m, rec, sizeof(Msg));
-    trace_->on_msg_recv(
+    hooks_->on_msg_recv(
         dst, m.src, static_cast<std::uint8_t>(m.type), m.block,
         static_cast<std::uint32_t>(costs_.header_bytes + m.data_len),
         engine_.now(), start);

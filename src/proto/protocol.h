@@ -31,10 +31,7 @@
 #include "sim/engine.h"
 #include "sim/processor.h"
 #include "stats/recorder.h"
-
-namespace presto::trace {
-class Hooks;
-}  // namespace presto::trace
+#include "trace/hooks.h"
 
 namespace presto::proto {
 
@@ -92,24 +89,6 @@ struct ProtoCosts {
   std::size_t header_bytes = 16;
 };
 
-// Observer of protocol-level data movement, implemented by the coherence
-// invariant oracle (check/oracle.h). Null in normal runs; hooks are pure
-// observation (no time charged, no events scheduled), so simulated results
-// are bit-identical with or without it.
-//   on_data_send — a data-carrying message (DataS/DataX/RecallAckData/
-//     BulkData/WuData/UpdateData) at the instant its payload is snapshotted
-//     into the channel ring: the presend-coherence invariant is checked here.
-//   on_install — a block copy or permission change lands at a node.
-class CoherenceObserver {
- public:
-  virtual void on_data_send(int src, int dst, const Msg& m) = 0;
-  virtual void on_install(int node, mem::BlockId b, const std::byte* data,
-                          mem::Tag tag) = 0;
-
- protected:
-  ~CoherenceObserver() = default;
-};
-
 class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
  public:
   Protocol(sim::Engine& engine, net::Network& net, mem::GlobalSpace& space,
@@ -144,15 +123,10 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   // protocol ends its presend with a barrier, §3.4).
   void set_barrier(std::function<void(int)> fn) { barrier_ = std::move(fn); }
 
-  // Attaches the invariant oracle (or detaches with nullptr).
-  void set_coherence_observer(CoherenceObserver* o) { observer_ = o; }
-  CoherenceObserver* coherence_observer() const { return observer_; }
-
-  // Attaches the event tracer (trace/tracer.h). Like the oracle, hooks are
-  // pure observation; null in untraced runs so the hot paths stay branch-
-  // predictable single null checks.
-  void set_trace_hooks(trace::Hooks* h) { trace_ = h; }
-  trace::Hooks* trace_hooks() const { return trace_; }
+  // Attaches the observation bus (trace/hooks.h), or detaches with nullptr.
+  // The runtime's phase and lock directives report through hooks() too.
+  void set_hooks(trace::Hooks* h) { hooks_ = h; }
+  trace::Hooks* hooks() const { return hooks_; }
 
   const ProtoCosts& costs() const { return costs_; }
 
@@ -193,12 +167,12 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   void install_block(int node, mem::BlockId b, const std::byte* data,
                      mem::Tag tag);
 
-  // Oracle notification for handler sites that install block bytes without
+  // Install notification for handler sites that install block bytes without
   // going through install_block (e.g. RecallAckData landing at the home).
   void notify_install(int node, mem::BlockId b, const std::byte* data,
                       mem::Tag tag) {
-    if (observer_ != nullptr) [[unlikely]]
-      observer_->on_install(node, b, data, tag);
+    if (hooks_ != nullptr) [[unlikely]]
+      hooks_->on_install(node, b, data, tag);
   }
   void set_waiting(int node, mem::BlockId b) { waiting_[static_cast<std::size_t>(node)] = static_cast<std::int64_t>(b); }
   void clear_waiting(int node) { waiting_[static_cast<std::size_t>(node)] = -1; }
@@ -213,8 +187,7 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   stats::Recorder& rec_;
   const ProtoCosts costs_;
   std::function<void(int)> barrier_;
-  CoherenceObserver* observer_ = nullptr;
-  trace::Hooks* trace_ = nullptr;
+  trace::Hooks* hooks_ = nullptr;
 
  private:
   void post(int src, int dst, const Msg& m, sim::Time depart);

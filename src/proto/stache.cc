@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "check/bughook.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -145,8 +144,8 @@ void StacheProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
 
   auto& p = proc(node);
   const sim::Time t0 = p.now();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_start(node, b, is_write, t0);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_miss_start(node, b, is_write, t0);
   p.charge(costs_.fault);  // software fault vectoring (Blizzard)
 
   Msg m;
@@ -158,8 +157,8 @@ void StacheProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
   set_waiting(node, b);
   while (!access_ok(node, b, is_write)) p.block();
   clear_waiting(node);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_end(node, b, is_write, p.now());
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_miss_end(node, b, is_write, p.now());
   c.remote_wait += p.now() - t0;
 }
 

@@ -1,6 +1,5 @@
 #include "proto/writeupdate.h"
 
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -87,8 +86,8 @@ void WriteUpdateProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
   if (home == node) ++c.local_faults;
 
   const sim::Time t0 = p.now();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_start(node, b, is_write, t0);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_miss_start(node, b, is_write, t0);
   p.charge(costs_.fault);
   Msg m;
   m.type = MsgType::WuGetS;
@@ -103,8 +102,8 @@ void WriteUpdateProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
                   : space_.tag(node, b) == mem::Tag::Invalid)
     p.block();
   clear_waiting(node);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_end(node, b, is_write, p.now());
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_miss_end(node, b, is_write, p.now());
   c.remote_wait += p.now() - t0;
 }
 

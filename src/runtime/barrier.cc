@@ -1,6 +1,5 @@
 #include "runtime/barrier.h"
 
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::runtime {
@@ -27,8 +26,8 @@ void BarrierManager::arrive_and_wait(int node, std::size_t bytes) {
   // In deferred mode epoch_ only advances at window boundaries, so this read
   // is stable for the whole drain.
   const std::uint64_t my_epoch = epoch_;
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_barrier_arrive(node, my_epoch, arrive);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_barrier_arrive(node, my_epoch, arrive);
   if (deferred_) {
     Slot& s = slots_[static_cast<std::size_t>(node)];
     PRESTO_CHECK(!s.arrived, "node " << node << " re-arrived before release");
@@ -55,8 +54,8 @@ void BarrierManager::arrive_and_wait(int node, std::size_t bytes) {
     }
   }
   while (epoch_ == my_epoch) p.block();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_barrier_release(node, my_epoch, p.now());
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_barrier_release(node, my_epoch, p.now());
   rec_.node(node).barrier_wait += p.now() - arrive;
 }
 

@@ -24,10 +24,7 @@
 #include "sim/engine.h"
 #include "sim/processor.h"
 #include "stats/recorder.h"
-
-namespace presto::trace {
-class Hooks;
-}  // namespace presto::trace
+#include "trace/hooks.h"
 
 namespace presto::runtime {
 
@@ -44,8 +41,8 @@ class BarrierManager {
 
   std::uint64_t barriers_completed() const { return epoch_; }
 
-  // Event tracer (trace/tracer.h); null in untraced runs.
-  void set_trace_hooks(trace::Hooks* h) { trace_ = h; }
+  // Observation bus (trace/hooks.h); null when nothing is attached.
+  void set_hooks(trace::Hooks* h) { hooks_ = h; }
 
  private:
   // Deferred arrival of one node (windowed mode): written only by the
@@ -72,7 +69,7 @@ class BarrierManager {
   const int nodes_;
   const sim::Time latency_;
   const sim::Time per_byte_;
-  trace::Hooks* trace_ = nullptr;
+  trace::Hooks* hooks_ = nullptr;
 
   const bool deferred_;       // windowed engine: per-slot arrivals
   std::vector<Slot> slots_;   // [node]; deferred mode only

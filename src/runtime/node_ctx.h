@@ -105,13 +105,13 @@ class NodeCtx {
   // ---- Predictive-protocol directives ---------------------------------------
 
   void phase(int phase_id) {
-    trace::Hooks* h = protocol_.trace_hooks();
+    trace::Hooks* h = protocol_.hooks();
     if (h != nullptr) [[unlikely]] h->on_phase_begin(id_, phase_id, proc_.now());
     protocol_.phase_begin(id_, phase_id);
     if (h != nullptr) [[unlikely]] h->on_phase_ready(id_, phase_id, proc_.now());
   }
   void flush_phase(int phase_id) {
-    if (trace::Hooks* h = protocol_.trace_hooks(); h != nullptr) [[unlikely]]
+    if (trace::Hooks* h = protocol_.hooks(); h != nullptr) [[unlikely]]
       h->on_phase_flush(id_, phase_id, proc_.now());
     protocol_.phase_flush(id_, phase_id);
   }

@@ -119,38 +119,37 @@ System::System(const MachineConfig& cfg, ProtocolKind kind)
 check::Oracle& System::enable_oracle(check::FailMode fail) {
   oracle_ = std::make_unique<check::Oracle>(
       *space_, &engine_, check::mode_for_protocol(protocol_->name()), fail);
-  space_->set_access_observer(oracle_.get());
-  protocol_->set_coherence_observer(oracle_.get());
-  net_->set_observer(oracle_.get());
+  attach_hooks();
   // Windowed engine: replay the oracle's per-lane buffers at every window
   // boundary. Captures the System (not the oracle) so a replacement oracle
   // inherits the slot without re-registration.
   if (engine_.windowed())
     engine_.set_boundary_op(sim::BoundaryOp::kOracle,
                             [this] { oracle_->replay_window(); });
-  // Replacing the observers displaced an attached tracer; put a fresh one
-  // back on top, forwarding to the new oracle. (Copy the config first: the
-  // reference would dangle once enable_trace replaces the tracer.)
-  if (tracer_ != nullptr) {
-    const trace::TraceConfig tcfg = tracer_->config();
-    enable_trace(tcfg);
-  }
   return *oracle_;
 }
 
 trace::Tracer& System::enable_trace(const trace::TraceConfig& tcfg) {
   tracer_ = std::make_unique<trace::Tracer>(tcfg, *space_, &engine_);
-  // Chain to whatever observers are already installed (the oracle in Debug
-  // builds) so both see the identical call stream.
-  tracer_->chain(space_->access_observer(), protocol_->coherence_observer(),
-                 net_->observer());
-  space_->set_access_observer(tracer_.get());
-  protocol_->set_coherence_observer(tracer_.get());
-  net_->set_observer(tracer_.get());
-  protocol_->set_trace_hooks(tracer_.get());
-  barrier_->set_trace_hooks(tracer_.get());
-  engine_.set_trace_hooks(tracer_.get());
+  attach_hooks();
   return *tracer_;
+}
+
+void System::attach_hooks() {
+  // The bus head: the tracer, the oracle, or both behind a Fanout that calls
+  // the tracer first.
+  trace::Hooks* head = oracle_.get();
+  if (tracer_ != nullptr && oracle_ != nullptr) {
+    fanout_ = std::make_unique<trace::Fanout>(tracer_.get(), oracle_.get());
+    head = fanout_.get();
+  } else if (tracer_ != nullptr) {
+    head = tracer_.get();
+  }
+  space_->set_hooks(head);
+  net_->set_hooks(head);
+  protocol_->set_hooks(head);
+  barrier_->set_hooks(head);
+  engine_.set_hooks(head);
 }
 
 System::~System() = default;

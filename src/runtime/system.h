@@ -46,19 +46,20 @@ class System {
   proto::WriteUpdateProtocol* writeupdate();
   proto::CCachedProtocol* ccached();
 
-  // Attaches the coherence invariant oracle (check/oracle.h) to this system's
-  // space, protocol and network. Attached automatically at construction when
-  // check::oracle_enabled_by_default() — PRESTO_ORACLE=1/0 overrides the
-  // build-type default (on without NDEBUG, off otherwise). Observation is
-  // pure, so simulated results are bit-identical either way. Calling again
-  // replaces the oracle (the fuzzer re-attaches with FailMode::kRecord).
+  // Attaches the coherence invariant oracle (check/oracle.h) to this
+  // system's observation bus (trace/hooks.h). Attached automatically at
+  // construction when check::oracle_enabled_by_default() — PRESTO_ORACLE=1/0
+  // overrides the build-type default (on without NDEBUG, off otherwise).
+  // Observation is pure, so simulated results are bit-identical either way.
+  // Calling again replaces the oracle (the fuzzer re-attaches with
+  // FailMode::kRecord); an attached tracer stays as it is.
   check::Oracle& enable_oracle(check::FailMode fail);
   check::Oracle* oracle() { return oracle_.get(); }
 
   // Attaches the event tracer (trace/tracer.h). Attached automatically at
-  // construction when cfg.trace.enabled (the --trace CLI flag). The tracer
-  // chains to whatever observers are already installed (the oracle in Debug
-  // builds), so both observe the same run. At the end of run() the trace is
+  // construction when cfg.trace.enabled (the --trace CLI flag). With the
+  // oracle also attached (Debug builds), both subscribe to the same bus and
+  // observe the same run, the tracer first. At the end of run() the trace is
   // written to cfg.trace.path: ".json" → Perfetto trace_event JSON,
   // anything else → the binary format (trace/file.h).
   trace::Tracer& enable_trace(const trace::TraceConfig& tcfg);
@@ -72,6 +73,9 @@ class System {
 
  private:
   void write_trace();
+  // Installs the observation bus head in the space, network, protocol,
+  // barrier manager and engine.
+  void attach_hooks();
 
   MachineConfig cfg_;
   ProtocolKind kind_;
@@ -82,6 +86,7 @@ class System {
   std::unique_ptr<proto::Protocol> protocol_;
   std::unique_ptr<check::Oracle> oracle_;
   std::unique_ptr<trace::Tracer> tracer_;
+  std::unique_ptr<trace::Fanout> fanout_;  // tracer + oracle, when both
   std::unique_ptr<BarrierManager> barrier_;
   std::vector<std::unique_ptr<NodeCtx>> ctxs_;
   sim::Time exec_time_ = 0;

@@ -50,10 +50,7 @@
 #include "sim/fiber.h"
 #include "sim/inline_fn.h"
 #include "sim/time.h"
-
-namespace presto::trace {
-class Hooks;
-}  // namespace presto::trace
+#include "trace/hooks.h"
 
 namespace presto::sim {
 
@@ -63,7 +60,7 @@ struct WindowPoolStats;
 
 // Fixed boundary-operation slots, run in enum order at every window
 // boundary (serial, on run()'s caller). Re-registering a slot overwrites it,
-// so a subsystem replaced mid-setup (e.g. a tracer re-attached by
+// so a subsystem replaced mid-setup (e.g. an oracle re-attached by
 // enable_oracle) simply installs its new callback over the old one.
 enum class BoundaryOp {
   kNet = 0,   // flush staged cross-node messages, in source order
@@ -229,10 +226,10 @@ class Engine {
   void set_fiber_stack_size(std::size_t bytes) { fiber_stack_size_ = bytes; }
   std::size_t fiber_stack_size() const { return fiber_stack_size_; }
 
-  // Event tracer (trace/tracer.h): processors emit block/resume events
-  // through this. Null in untraced runs; observation only.
-  void set_trace_hooks(trace::Hooks* h) { trace_hooks_ = h; }
-  trace::Hooks* trace_hooks() const { return trace_hooks_; }
+  // Observation bus (trace/hooks.h): processors report block/resume
+  // through this. Null when nothing is attached.
+  void set_hooks(trace::Hooks* h) { hooks_ = h; }
+  trace::Hooks* hooks() const { return hooks_; }
 
  private:
   friend class Processor;
@@ -357,7 +354,7 @@ class Engine {
   std::vector<std::unique_ptr<Processor>> processors_;
   Time quantum_floor_ = 0;
   std::size_t fiber_stack_size_;
-  trace::Hooks* trace_hooks_ = nullptr;
+  trace::Hooks* hooks_ = nullptr;
 
   // The saved context of run()'s caller while fibers drive the event loop
   // (legacy mode only), and whether a fiber drained the queue since.

@@ -1,7 +1,6 @@
 #include "sim/processor.h"
 
 #include "sim/engine.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::sim {
@@ -137,7 +136,7 @@ void Processor::park_until(Time t) {
 
 void Processor::block() {
   ++blocks_;
-  trace::Hooks* h = engine_.trace_hooks();
+  trace::Hooks* h = engine_.hooks();
   if (h != nullptr) [[unlikely]] h->on_ctx_block(id_, clock_);
   if (wake_pending_) {
     // Latched wake: consume it without parking.

@@ -49,12 +49,11 @@ bool write_file(const TraceData& t, const std::string& path,
   const std::vector<std::byte> bytes = serialize(t);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return fail(err, "cannot open '" + path + "' for writing");
-  const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool ok = n == bytes.size() && std::fclose(f) == 0;
-  if (!ok) {
-    if (n == bytes.size()) std::fclose(f);
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  // Close exactly once, whether or not the write went through.
+  if (std::fclose(f) != 0 || !wrote)
     return fail(err, "short write to '" + path + "'");
-  }
   return true;
 }
 

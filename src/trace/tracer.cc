@@ -234,12 +234,10 @@ void Tracer::on_miss_end(int node, std::uint64_t block, bool is_write,
                                   (is_write ? kMissWriteBit : 0)));
 }
 
-void Tracer::on_msg_send(int src, int dst, std::uint8_t msg_type,
-                         std::uint64_t block, std::uint32_t count,
+void Tracer::on_msg_send(int src, int dst, const proto::Msg& m,
                          std::uint32_t wire_bytes, sim::Time depart) {
-  (void)count;
-  emit(EventKind::kMsgSend, src, depart, block, wire_bytes,
-       static_cast<std::int16_t>(dst), msg_type);
+  emit(EventKind::kMsgSend, src, depart, m.block, wire_bytes,
+       static_cast<std::int16_t>(dst), static_cast<std::uint8_t>(m.type));
 }
 
 void Tracer::on_msg_recv(int dst, int src, std::uint8_t msg_type,
@@ -276,10 +274,17 @@ void Tracer::on_ctx_resume(int node, sim::Time t) {
   emit(EventKind::kCtxResume, node, t, 0, 0, -1, 0);
 }
 
-// ---- mem::AccessObserver ----------------------------------------------------
+void Tracer::on_app_read(int node, mem::BlockId b, std::size_t /*off*/,
+                         const void* /*seen*/, std::size_t /*n*/) {
+  note_access(node, b);
+}
 
-void Tracer::on_app_read(int node, mem::BlockId b, std::size_t off,
-                         const void* seen, std::size_t n) {
+void Tracer::on_app_write(int node, mem::BlockId b, std::size_t /*off*/,
+                          const void* /*data*/, std::size_t /*n*/) {
+  note_access(node, b);
+}
+
+void Tracer::note_access(int node, mem::BlockId b) {
   std::uint8_t& st = state(node, b);
   if ((st & kPending) != 0) {
     // Access completed without a fault on a presend-installed block: the
@@ -288,50 +293,13 @@ void Tracer::on_app_read(int node, mem::BlockId b, std::size_t off,
     resolve_pending(node, b, /*hit=*/true, engine_->processor(node).now());
   }
   st |= kEverValid;
-  if (next_access_ != nullptr) next_access_->on_app_read(node, b, off, seen, n);
 }
 
-void Tracer::on_app_write(int node, mem::BlockId b, std::size_t off,
-                          const void* data, std::size_t n) {
-  std::uint8_t& st = state(node, b);
-  if ((st & kPending) != 0)
-    resolve_pending(node, b, /*hit=*/true, engine_->processor(node).now());
-  st |= kEverValid;
-  if (next_access_ != nullptr)
-    next_access_->on_app_write(node, b, off, data, n);
-}
-
-void Tracer::on_cc_update(int node, mem::BlockId b, std::size_t off,
-                          std::int64_t delta) {
-  // Privatized update: no copy became valid at the node, so no state change
-  // and no event — but the chained oracle must still see it to keep its
-  // committed shadow exact.
-  if (next_access_ != nullptr) next_access_->on_cc_update(node, b, off, delta);
-}
-
-// ---- proto::CoherenceObserver -----------------------------------------------
-
-void Tracer::on_data_send(int src, int dst, const proto::Msg& m) {
-  if (next_coherence_ != nullptr) next_coherence_->on_data_send(src, dst, m);
-}
-
-void Tracer::on_install(int node, mem::BlockId b, const std::byte* data,
+void Tracer::on_install(int node, mem::BlockId b, const std::byte* /*data*/,
                         mem::Tag tag) {
   state(node, b) |= kEverValid;
   emit(EventKind::kInstall, node, engine_->now(), b, 0,
        static_cast<std::int16_t>(tag), 0);
-  if (next_coherence_ != nullptr)
-    next_coherence_->on_install(node, b, data, tag);
-}
-
-// ---- net::Network::Observer -------------------------------------------------
-
-void Tracer::on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                        sim::Time arrival) {
-  // Protocol traffic is covered by on_msg_send/on_msg_recv (typed, with
-  // block ids); this chain-through keeps the oracle's event ring intact.
-  if (next_net_ != nullptr)
-    next_net_->on_message(src, dst, bytes, depart, arrival);
 }
 
 // ---- End of run -------------------------------------------------------------

@@ -19,10 +19,11 @@
 // bounded by TraceConfig::max_events_per_node; overflow drops events but
 // never silently — dropped counts land in the summary and the file meta.
 //
-// Observation is pure (no simulated time charged, no events scheduled), and
-// the tracer chains to whatever observers were attached before it (the
-// coherence oracle in Debug builds), so oracle + tracer coexist and golden
-// counters stay bit-identical with tracing on (tests/trace_test.cc).
+// Observation is pure (no simulated time charged, no events scheduled), so
+// golden counters stay bit-identical with tracing on (tests/trace_test.cc).
+// The tracer is one subscriber of the observation bus (trace/hooks.h); when
+// the coherence oracle is attached too (Debug builds), runtime::System puts
+// both behind a Fanout, tracer first.
 //
 // Presend accounting (two independent paths reconciled by
 // tests/trace_property_test.cc): every presend-installed block is pending
@@ -87,10 +88,7 @@ struct Summary {
   std::vector<PhaseTotals> phases;
 };
 
-class Tracer final : public Hooks,
-                     public mem::AccessObserver,
-                     public proto::CoherenceObserver,
-                     public net::Network::Observer {
+class Tracer final : public Hooks {
  public:
   Tracer(const TraceConfig& cfg, mem::GlobalSpace& space, sim::Engine* engine);
   ~Tracer();
@@ -98,18 +96,13 @@ class Tracer final : public Hooks,
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Observers attached before the tracer; every hook forwards to them, so
-  // the oracle sees the exact call stream it would without tracing.
-  void chain(mem::AccessObserver* access, proto::CoherenceObserver* coherence,
-             net::Network::Observer* net) {
-    next_access_ = access;
-    next_coherence_ = coherence;
-    next_net_ = net;
-  }
-
   const TraceConfig& config() const { return cfg_; }
 
   // ---- trace::Hooks ---------------------------------------------------------
+  void on_app_read(int node, mem::BlockId b, std::size_t off, const void* seen,
+                   std::size_t n) override;
+  void on_app_write(int node, mem::BlockId b, std::size_t off,
+                    const void* data, std::size_t n) override;
   void on_phase_begin(int node, int phase, sim::Time t) override;
   void on_phase_ready(int node, int phase, sim::Time t) override;
   void on_phase_flush(int node, int phase, sim::Time t) override;
@@ -125,33 +118,17 @@ class Tracer final : public Hooks,
                      sim::Time t0) override;
   void on_miss_end(int node, std::uint64_t block, bool is_write,
                    sim::Time t1) override;
-  void on_msg_send(int src, int dst, std::uint8_t msg_type,
-                   std::uint64_t block, std::uint32_t count,
+  void on_msg_send(int src, int dst, const proto::Msg& m,
                    std::uint32_t wire_bytes, sim::Time depart) override;
   void on_msg_recv(int dst, int src, std::uint8_t msg_type,
                    std::uint64_t block, std::uint32_t wire_bytes,
                    sim::Time arrival, sim::Time dispatch) override;
+  void on_install(int node, mem::BlockId b, const std::byte* data,
+                  mem::Tag tag) override;
   void on_presend_install(int node, int src, std::uint64_t block0,
                           std::uint32_t count, sim::Time t) override;
   void on_ctx_block(int node, sim::Time t) override;
   void on_ctx_resume(int node, sim::Time t) override;
-
-  // ---- mem::AccessObserver --------------------------------------------------
-  void on_app_read(int node, mem::BlockId b, std::size_t off, const void* seen,
-                   std::size_t n) override;
-  void on_app_write(int node, mem::BlockId b, std::size_t off,
-                    const void* data, std::size_t n) override;
-  void on_cc_update(int node, mem::BlockId b, std::size_t off,
-                    std::int64_t delta) override;
-
-  // ---- proto::CoherenceObserver ---------------------------------------------
-  void on_data_send(int src, int dst, const proto::Msg& m) override;
-  void on_install(int node, mem::BlockId b, const std::byte* data,
-                  mem::Tag tag) override;
-
-  // ---- net::Network::Observer -----------------------------------------------
-  void on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                  sim::Time arrival) override;
 
   // ---- End of run ------------------------------------------------------------
   // Resolves still-pending presends as unused and freezes the summary.
@@ -216,16 +193,14 @@ class Tracer final : public Hooks,
   // boundary (BoundaryOp::kTrace); serial engines once at finalize, where
   // the single emission-order buffer makes it reproduce the emit-order seq.
   void stamp_window();
+  // A completed application access: resolves a pending presend as a hit.
+  void note_access(int node, mem::BlockId b);
   // Resolves a pending presend on access (hit) or fault/overwrite (waste).
   void resolve_pending(int node, mem::BlockId b, bool hit, sim::Time t);
 
   const TraceConfig cfg_;
   mem::GlobalSpace& space_;
   sim::Engine* engine_;
-
-  mem::AccessObserver* next_access_ = nullptr;
-  proto::CoherenceObserver* next_coherence_ = nullptr;
-  net::Network::Observer* next_net_ = nullptr;
 
   // Windowed engine attached: per-node buffers and summary shards (lanes
   // append concurrently), stamped at window boundaries. Serial engines use

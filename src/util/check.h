@@ -18,14 +18,20 @@ namespace presto::util {
 //   PRESTO_CHECK(x < n, "index " << x << " out of range " << n);
 #define PRESTO_CHECK(cond, ...)                                              \
   do {                                                                       \
-    if (!(cond)) [[unlikely]] {                                              \
-      std::ostringstream presto_check_os_;                                   \
-      presto_check_os_ << __VA_ARGS__;                                       \
-      ::presto::util::check_fail(#cond, __FILE__, __LINE__,                  \
-                                 presto_check_os_.str());                    \
-    }                                                                        \
+    if (!(cond)) [[unlikely]] PRESTO_CHECK_FAIL_(#cond, __VA_ARGS__);        \
   } while (0)
 
-#define PRESTO_FAIL(...) PRESTO_CHECK(false, __VA_ARGS__)
+// Unconditional failure, printed as a failed PRESTO_CHECK(false, ...). No
+// condition test stands before the [[noreturn]] call, so the compiler sees
+// that control ends here.
+#define PRESTO_FAIL(...) PRESTO_CHECK_FAIL_("false", __VA_ARGS__)
+
+#define PRESTO_CHECK_FAIL_(cond_text, ...)                                   \
+  do {                                                                       \
+    std::ostringstream presto_check_os_;                                     \
+    presto_check_os_ << __VA_ARGS__;                                         \
+    ::presto::util::check_fail(cond_text, __FILE__, __LINE__,                \
+                               presto_check_os_.str());                      \
+  } while (0)
 
 }  // namespace presto::util

@@ -48,28 +48,12 @@ inline std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
   return h;
 }
 
-inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
-                                         sim::Time quantum_floor = 0,
-                                         int nodes = 4, int rounds = 6,
-                                         sim::Backend backend =
-                                             sim::default_backend(),
-                                         std::uint32_t block_size = 32,
-                                         bool traced = false,
-                                         std::uint32_t trace_categories =
-                                             trace::kCatAll,
-                                         sim::Time window = 0,
-                                         int workers = 0,
-                                         int batch_windows = 0) {
-  runtime::MachineConfig cfg =
-      runtime::MachineConfig::cm5_blizzard(nodes, block_size);
-  cfg.quantum_floor = quantum_floor;
-  cfg.backend = backend;
-  cfg.trace.enabled = traced;  // in-memory: tests read the stream directly
-  cfg.trace.categories = trace_categories;
-  cfg.window = window;            // 0 = legacy single-lane engine
-  cfg.workers = workers;          // kParallel only
-  cfg.batch_windows = batch_windows;  // kParallel only; results-invariant
-  runtime::System sys(cfg, kind);
+// Allocates the micro workload's pages in `sys` and runs it to completion
+// (System::run is single-shot). Callers that attach extra subscribers to
+// the system's observation bus drive it directly.
+inline void drive_micro_workload(runtime::System& sys, int rounds) {
+  const runtime::MachineConfig& cfg = sys.config();
+  const int nodes = cfg.nodes;
   auto& space = sys.space();
 
   // One page per node, homed round-robin.
@@ -120,6 +104,33 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
       c.barrier();
     }
   });
+}
+
+inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
+                                         sim::Time quantum_floor = 0,
+                                         int nodes = 4, int rounds = 6,
+                                         sim::Backend backend =
+                                             sim::default_backend(),
+                                         std::uint32_t block_size = 32,
+                                         bool traced = false,
+                                         std::uint32_t trace_categories =
+                                             trace::kCatAll,
+                                         sim::Time window = 0,
+                                         int workers = 0,
+                                         int batch_windows = 0) {
+  runtime::MachineConfig cfg =
+      runtime::MachineConfig::cm5_blizzard(nodes, block_size);
+  cfg.quantum_floor = quantum_floor;
+  cfg.backend = backend;
+  cfg.trace.enabled = traced;  // in-memory: tests read the stream directly
+  cfg.trace.categories = trace_categories;
+  cfg.window = window;            // 0 = legacy single-lane engine
+  cfg.workers = workers;          // kParallel only
+  cfg.batch_windows = batch_windows;  // kParallel only; results-invariant
+  runtime::System sys(cfg, kind);
+  drive_micro_workload(sys, rounds);
+  auto& space = sys.space();
+  const std::uint32_t bsz = cfg.mem.block_size;
 
   WorkloadResult res;
   for (int n = 0; n < nodes; ++n) res.counters.push_back(sys.recorder().node(n));

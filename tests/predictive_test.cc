@@ -34,9 +34,10 @@ TEST(Predictive, ConsumerReadsBecomeLocalHitsAfterFirstIteration) {
         for (int b = 0; b < 4; ++b) c.write<int>(a + b * 32, it * 10 + b);
       c.barrier();
       c.phase(8);
-      if (c.id() != 0)
+      if (c.id() != 0) {
         for (int b = 0; b < 4; ++b)
           EXPECT_EQ(c.read<int>(a + b * 32), it * 10 + b);
+      }
       c.barrier();
       if (c.id() == 1)
         faults_per_iter.push_back(c.counters().read_faults);
@@ -59,7 +60,9 @@ TEST(Predictive, HomeWritesStopFaultingAfterPreinvalidation) {
       if (c.id() == 0) c.write<int>(a, it);  // invalidates consumer copies
       c.barrier();
       c.phase(1);
-      if (c.id() != 0) EXPECT_EQ(c.read<int>(a), it);
+      if (c.id() != 0) {
+        EXPECT_EQ(c.read<int>(a), it);
+      }
       c.barrier();
       if (c.id() == 0 && it == 2) early = c.counters().write_faults;
       if (c.id() == 0 && it == 5) late = c.counters().write_faults;
@@ -99,9 +102,13 @@ TEST(Predictive, FlushDiscardsSchedule) {
     c.phase(1);
     if (c.id() == 1) c.read<int>(a);
     c.barrier();
-    if (c.id() == 0) EXPECT_EQ(pred(sys).schedule_size(0, 1), 1u);
+    if (c.id() == 0) {
+      EXPECT_EQ(pred(sys).schedule_size(0, 1), 1u);
+    }
     c.flush_phase(1);
-    if (c.id() == 0) EXPECT_EQ(pred(sys).schedule_size(0, 1), 0u);
+    if (c.id() == 0) {
+      EXPECT_EQ(pred(sys).schedule_size(0, 1), 0u);
+    }
     c.barrier();
   });
 }
@@ -157,7 +164,9 @@ TEST(Predictive, MigratoryReadThenWriteDerivesWrite) {
       // The home reads it back in another phase, forcing a downgrade so
       // iteration it+1 would fault again without presend.
       c.phase(10);
-      if (c.id() == 0) EXPECT_EQ(c.read<int>(a), it + 1);
+      if (c.id() == 0) {
+        EXPECT_EQ(c.read<int>(a), it + 1);
+      }
       c.barrier();
       if (c.id() == 1 && it == 2)
         f2 = c.counters().read_faults + c.counters().write_faults;
@@ -234,9 +243,10 @@ TEST(WriteUpdate, PublishKeepsReaderCopiesFresh) {
         for (int b = 0; b < 4; ++b) c.write<int>(a + b * 32, it * 10 + b);
       wu->wu_publish(c.id(), 0, c.space().size_bytes());
       c.barrier();
-      if (c.id() != 0)
+      if (c.id() != 0) {
         for (int b = 0; b < 4; ++b)
           EXPECT_EQ(c.read<int>(a + b * 32), it * 10 + b);
+      }
       c.barrier();
       if (c.id() == 1) faults.push_back(c.counters().read_faults);
     }
@@ -259,8 +269,12 @@ TEST(WriteUpdate, RemoteWriterPublishesThroughHome) {
     wu->wu_publish(c.id(), 0, c.space().size_bytes());
     c.barrier();
     // Home and the recorded reader both observe the new value locally.
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 77);
-    if (c.id() == 2) EXPECT_EQ(c.read<int>(a), 77);
+    if (c.id() == 0) {
+      EXPECT_EQ(c.read<int>(a), 77);
+    }
+    if (c.id() == 2) {
+      EXPECT_EQ(c.read<int>(a), 77);
+    }
   });
   // Reader 2 never faulted again after its first read.
   EXPECT_EQ(sys.recorder().node(2).read_faults, 1u);

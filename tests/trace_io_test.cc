@@ -33,10 +33,11 @@ trace::TraceData sample_trace(ProtocolKind kind = ProtocolKind::kPredictive) {
 void expect_identical(const trace::TraceData& a, const trace::TraceData& b) {
   EXPECT_EQ(std::memcmp(&a.meta, &b.meta, sizeof(a.meta)), 0);
   ASSERT_EQ(a.events.size(), b.events.size());
-  if (!a.events.empty())
+  if (!a.events.empty()) {
     EXPECT_EQ(std::memcmp(a.events.data(), b.events.data(),
                           a.events.size() * sizeof(trace::Event)),
               0);
+  }
 }
 
 TEST(TraceIo, SerializeParseIdentity) {
@@ -226,6 +227,22 @@ TEST(TraceIo, MissingFileFailsCleanly) {
   std::string err;
   EXPECT_FALSE(trace::read_file("/nonexistent/dir/trace.ptrc", &out, &err));
   EXPECT_FALSE(err.empty());
+}
+
+// /dev/full accepts the open and fails every write with ENOSPC: a full trace
+// fails in fwrite, an empty one fits the stdio buffer and fails in the flush
+// at fclose. Either way the writer reports it and closes the stream exactly
+// once (the sanitizer leg's leak check covers the close).
+TEST(TraceIo, WriteToDevFullFailsCleanly) {
+  trace::TraceData empty;
+  empty.meta.nodes = 2;
+  const trace::TraceData full = sample_trace(ProtocolKind::kStache);
+  const trace::TraceData* traces[] = {&full, &empty};
+  for (const trace::TraceData* t : traces) {
+    std::string err;
+    EXPECT_FALSE(trace::write_file(*t, "/dev/full", &err));
+    EXPECT_NE(err.find("short write"), std::string::npos) << err;
+  }
 }
 
 // Truncation at every structural boundary and at arbitrary cut points

@@ -40,7 +40,9 @@ TEST(WriteUpdate, PublishRangeFiltersBlocks) {
     // Publishing the rest delivers it.
     wu->wu_publish(c.id(), a + 128, 128);
     c.barrier();
-    if (c.id() == 1) EXPECT_EQ(c.read<int>(a + 128), 2);
+    if (c.id() == 1) {
+      EXPECT_EQ(c.read<int>(a + 128), 2);
+    }
   });
   // Reader 1 never re-faulted: updates arrived via pushes.
   EXPECT_EQ(sys.recorder().node(1).read_faults, 2u);
@@ -59,11 +61,15 @@ TEST(WriteUpdate, WriteFaultUpgradesInPlaceWithoutMessages) {
     }
     c.barrier();
     // The home still has the old value until a publish.
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 0);
+    if (c.id() == 0) {
+      EXPECT_EQ(c.read<int>(a), 0);
+    }
     c.barrier();
     sys.writeupdate()->wu_publish(c.id(), a, 64);
     c.barrier();
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 5);
+    if (c.id() == 0) {
+      EXPECT_EQ(c.read<int>(a), 5);
+    }
   });
 }
 
@@ -110,8 +116,9 @@ TEST(WriteUpdate, ContiguousDirtyBlocksCoalesceToHome) {
       EXPECT_EQ(wu->stats().update_blocks, 16u);
     }
     c.barrier();
-    if (c.id() == 0)
+    if (c.id() == 0) {
       for (int b = 0; b < 16; ++b) EXPECT_EQ(c.read<int>(a + b * 32), b);
+    }
   });
 }
 
@@ -126,7 +133,9 @@ TEST(WriteUpdate, RepublishingUnchangedDataIsIdempotent) {
       if (c.id() == 0) c.write<int>(a, round);
       wu->wu_publish(c.id(), a, 64);
       c.barrier();
-      if (c.id() == 2) EXPECT_EQ(c.read<int>(a), round);
+      if (c.id() == 2) {
+        EXPECT_EQ(c.read<int>(a), round);
+      }
       c.barrier();
     }
   });
