@@ -13,9 +13,11 @@
 // numeric tests.
 //
 // The access path mirrors the hardware split Blizzard emulates in software:
-// the tag check plus data copy for a permitted single-block access is
-// inlined here (no virtual call, no std::function), and only faults or
-// block-spanning accesses drop into the out-of-line slow path.
+// the tag check plus data copy for a permitted access is inlined here (no
+// virtual call, no std::function) — a single-block access, or an unobserved
+// multi-block access inside one slot (records such as Barnes's 72–128-byte
+// cells straddle small blocks) — and only faults, cross-slot accesses and
+// observed multi-block accesses drop into the out-of-line slow path.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +35,8 @@ using Addr = std::uint64_t;
 using BlockId = std::uint64_t;
 using PageId = std::uint64_t;
 
+// Ordered by permission: the inline multi-block path (span_bytes) tests a
+// tag against the least one an access needs with a single compare.
 enum class Tag : std::uint8_t { Invalid = 0, ReadOnly = 1, ReadWrite = 2 };
 
 // Installed by the coherence protocol; on_fault runs on the faulting node's
@@ -172,19 +176,28 @@ class GlobalSpace {
   // Attaches the observation bus (trace/hooks.h), or detaches with nullptr.
   void set_hooks(trace::Hooks* h) { hooks_ = h; }
 
-  // Permitted single-block accesses complete inline; faults and
-  // block-spanning accesses take the out-of-line slow path.
+  // Permitted accesses complete inline: a single-block access with one tag
+  // check, and a multi-block access that lies inside one slot with every
+  // covered tag permitting it and no hooks attached (an observer sees one
+  // call per block, which only the slow path makes). Faults, cross-slot
+  // accesses and observed multi-block accesses take the out-of-line slow
+  // path.
   void read(int node, Addr a, void* out, std::size_t n) {
     const std::size_t off =
         static_cast<std::size_t>(a) & (cfg_.block_size - 1);
     const BlockId b = block_of(a);
     const std::uint8_t* pc = copy_of(node, page_of(a));
-    if (off + n <= cfg_.block_size && pc != nullptr &&
-        pc[b & tag_mask_] != static_cast<std::uint8_t>(Tag::Invalid))
-        [[likely]] {
-      std::memcpy(out, slots(pc)[slot_index(a)] + (a & slot_mask_), n);
-      if (hooks_ != nullptr) [[unlikely]]
-        hooks_->on_app_read(node, b, off, out, n);
+    if (off + n <= cfg_.block_size) [[likely]] {
+      if (pc != nullptr &&
+          pc[b & tag_mask_] != static_cast<std::uint8_t>(Tag::Invalid))
+          [[likely]] {
+        std::memcpy(out, slots(pc)[slot_index(a)] + (a & slot_mask_), n);
+        if (hooks_ != nullptr) [[unlikely]]
+          hooks_->on_app_read(node, b, off, out, n);
+        return;
+      }
+    } else if (const std::byte* s = span_bytes(pc, a, n, Tag::ReadOnly)) {
+      std::memcpy(out, s, n);
       return;
     }
     read_slow(node, a, out, n);
@@ -195,12 +208,17 @@ class GlobalSpace {
         static_cast<std::size_t>(a) & (cfg_.block_size - 1);
     const BlockId b = block_of(a);
     const std::uint8_t* pc = copy_of(node, page_of(a));
-    if (off + n <= cfg_.block_size && pc != nullptr &&
-        pc[b & tag_mask_] == static_cast<std::uint8_t>(Tag::ReadWrite))
-        [[likely]] {
-      std::memcpy(slots(pc)[slot_index(a)] + (a & slot_mask_), in, n);
-      if (hooks_ != nullptr) [[unlikely]]
-        hooks_->on_app_write(node, b, off, in, n);
+    if (off + n <= cfg_.block_size) [[likely]] {
+      if (pc != nullptr &&
+          pc[b & tag_mask_] == static_cast<std::uint8_t>(Tag::ReadWrite))
+          [[likely]] {
+        std::memcpy(slots(pc)[slot_index(a)] + (a & slot_mask_), in, n);
+        if (hooks_ != nullptr) [[unlikely]]
+          hooks_->on_app_write(node, b, off, in, n);
+        return;
+      }
+    } else if (std::byte* s = span_bytes(pc, a, n, Tag::ReadWrite)) {
+      std::memcpy(s, in, n);
       return;
     }
     write_slow(node, a, in, n);
@@ -244,6 +262,23 @@ class GlobalSpace {
   std::byte* slot_of(int node, std::uint8_t* pc, Addr a) {
     std::byte* s = slots(pc)[slot_index(a)];
     return s != nullptr ? s : materialize_slot(node, pc, slot_index(a));
+  }
+  // Bytes of the n-byte multi-block access at a when it can complete as
+  // one copy: it lies inside one slot of page copy pc, every block it covers
+  // has a tag of at least `need` (Tag values are ordered by permission) and
+  // no hooks are attached. Null otherwise. A permitted tag implies a
+  // resident slot, so the slot pointer is never null here.
+  std::byte* span_bytes(const std::uint8_t* pc, Addr a, std::size_t n,
+                        Tag need) const {
+    if (pc == nullptr || hooks_ != nullptr ||
+        (a & slot_mask_) + n > slot_mask_ + 1)
+      return nullptr;
+    const std::uint8_t* t = pc + (block_of(a) & tag_mask_);
+    const std::size_t count =
+        static_cast<std::size_t>(block_of(a + n - 1) - block_of(a)) + 1;
+    for (std::size_t i = 0; i < count; ++i)
+      if (t[i] < static_cast<std::uint8_t>(need)) return nullptr;
+    return slots(pc)[slot_index(a)] + (a & slot_mask_);
   }
   std::uint8_t* materialize_copy(int node, PageId p);
   std::byte* materialize_slot(int node, std::uint8_t* pc, std::size_t slot);

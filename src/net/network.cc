@@ -13,6 +13,9 @@ Network::Network(sim::Engine& engine, int nodes, const NetConfig& cfg)
       cfg_(cfg),
       per_node_msgs_(static_cast<std::size_t>(nodes), 0),
       per_node_bytes_(static_cast<std::size_t>(nodes), 0) {
+  pools_.resize(engine_.windowed()
+                    ? static_cast<std::size_t>(engine_.num_lanes())
+                    : 1);
   if (nodes <= kDenseNodeLimit)
     channels_.resize(static_cast<std::size_t>(nodes) *
                      static_cast<std::size_t>(nodes));
@@ -56,23 +59,28 @@ Network::Channel& Network::sparse_channel(int src, int dst) {
 std::size_t Network::channels_used() const {
   std::size_t n = 0;
   for (const auto& ch : channels_)
-    if (ch.used) ++n;
+    if (ch.last_arrival != 0) ++n;
   for (const auto& sc : sparse_)
     for (std::uint32_t i = 0; i < sc.count; ++i)
-      if (sc.chunks[i / kSparseChunk][i % kSparseChunk].used) ++n;
+      if (sc.chunks[i / kSparseChunk][i % kSparseChunk].last_arrival != 0)
+        ++n;
+  return n;
+}
+
+std::size_t Network::records_outstanding() const {
+  std::size_t n = 0;
+  for (const auto& p : pools_) n += p.outstanding();
   return n;
 }
 
 std::size_t Network::metadata_bytes() const {
   std::size_t n = channels_.capacity() * sizeof(Channel);
-  for (const auto& ch : channels_) n += ch.ring.capacity_bytes();
-  for (const auto& sc : sparse_) {
+  for (const auto& sc : sparse_)
     n += sc.slot.capacity() * sizeof(std::uint32_t) +
          sc.chunks.capacity() * sizeof(sc.chunks[0]) +
          sc.chunks.size() * kSparseChunk * sizeof(Channel);
-    for (std::uint32_t i = 0; i < sc.count; ++i)
-      n += sc.chunks[i / kSparseChunk][i % kSparseChunk].ring.capacity_bytes();
-  }
+  n += pools_.capacity() * sizeof(RecordPool);
+  for (const auto& p : pools_) n += p.metadata_bytes();
   for (const auto& ob : outboxes_) {
     n += ob.entries.capacity() * sizeof(Staged);
     if (ob.open != nullptr) n += sizeof(StagedArena) + ob.open->bytes.capacity();
@@ -83,8 +91,8 @@ std::size_t Network::metadata_bytes() const {
   return n;
 }
 
-Network::Routed Network::route(int src, int dst, std::size_t bytes,
-                               sim::Time depart) {
+sim::Time Network::route(int src, int dst, std::size_t bytes,
+                         sim::Time depart) {
   PRESTO_CHECK(src >= 0 && src < nodes_ && dst >= 0 && dst < nodes_,
                "bad endpoints " << src << "->" << dst);
   const sim::Time latency =
@@ -94,7 +102,6 @@ Network::Routed Network::route(int src, int dst, std::size_t bytes,
   sim::Time arrival = depart + latency;
 
   Channel& ch = channel(src, dst);
-  ch.used = true;
   if (arrival <= ch.last_arrival) arrival = ch.last_arrival + 1;
   ch.last_arrival = arrival;
 
@@ -102,20 +109,7 @@ Network::Routed Network::route(int src, int dst, std::size_t bytes,
   per_node_bytes_[static_cast<std::size_t>(src)] += bytes;
   if (hooks_ != nullptr) [[unlikely]]
     hooks_->on_message(src, dst, bytes, depart, arrival);
-  return Routed{ch, arrival};
-}
-
-void Network::schedule_record_delivery(Channel& ch, int dst,
-                                       sim::Time arrival) {
-  // The channel is FIFO (arrival times are clamped monotone), so the event
-  // pops the front record — a 16-byte capture, no per-message allocation.
-  engine_.schedule_on(engine_.windowed() ? dst : 0, arrival,
-                      [this, ch = &ch, dst] {
-                        std::size_t len;
-                        const std::byte* rec = ch->ring.front(&len);
-                        ch->ring.pop();  // never moves bytes; rec stays valid
-                        sink_->on_msg(dst, rec, len);
-                      });
+  return arrival;
 }
 
 sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
@@ -123,14 +117,14 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
                             std::size_t header_len, const void* payload,
                             std::size_t payload_len) {
   PRESTO_CHECK(sink_ != nullptr, "send_msg with no MsgSink registered");
-  const Routed r = route(src, dst, wire_bytes, depart);
-  const sim::Time arrival = r.arrival;
+  const sim::Time arrival = route(src, dst, wire_bytes, depart);
   if (src != dst && engine_.in_lane_context()) {
     PRESTO_CHECK(engine_.current_lane() == src,
                  "lane " << engine_.current_lane() << " sending as " << src);
-    // Single copy: header+payload land contiguously in the source's open
-    // arena; the boundary flush schedules deliveries that read them in
-    // place (no ring push, no second copy).
+    // The source lane may not touch the destination's pool: header+payload
+    // land contiguously in the source's open arena, and the delivery
+    // scheduled by the boundary flush copies them into a record from the
+    // destination lane's pool.
     Outbox& ob = outboxes_[static_cast<std::size_t>(src)];
     if (ob.open == nullptr) ob.open = std::make_unique<StagedArena>();
     StagedArena& a = *ob.open;
@@ -148,8 +142,11 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
                                 sim::InlineFn()});
     return arrival;
   }
-  r.ch.ring.push(header, header_len, payload, payload_len);
-  schedule_record_delivery(r.ch, dst, arrival);
+  // One copy: the record is the destination's from here on, and the event
+  // capture is the record pointer — no per-message allocation.
+  Record* rec = pool(dst).acquire(header, header_len, payload, payload_len);
+  engine_.schedule_on(engine_.windowed() ? dst : 0, arrival,
+                      [this, rec, dst] { sink_->on_msg(dst, rec); });
   return arrival;
 }
 
@@ -221,16 +218,18 @@ void Network::flush_staged() {
 void Network::flush_outbox(Outbox& ob) {
   for (Staged& s : ob.entries) {
     if (s.is_record) {
-      // Deliver straight out of the sealed arena: the capture fits the
-      // engine's inline closure storage, and the decrement is the arena's
-      // only shared word.
+      // At arrival, copy out of the sealed arena into a record from the
+      // destination lane's pool: the capture fits the engine's inline
+      // closure storage, and the decrement is the arena's only shared word.
       engine_.schedule_on(s.dst, s.arrival,
                           [this, a = s.arena, off = s.byte_off,
                            len = static_cast<std::size_t>(s.header_len) +
                                  s.payload_len,
                            dst = s.dst] {
-                            sink_->on_msg(dst, a->bytes.data() + off, len);
+                            Record* rec = pool(dst).acquire(
+                                a->bytes.data() + off, len, nullptr, 0);
                             a->live.fetch_sub(1, std::memory_order_release);
+                            sink_->on_msg(dst, rec);
                           });
     } else {
       engine_.schedule_on(s.dst, s.arrival, std::move(s.fn));

@@ -9,26 +9,29 @@
 //
 // Two delivery paths share the routing/FIFO logic:
 //   * send_msg — the protocol fast path: the caller's header+payload bytes
-//     are copied into the (src, dst) channel's record ring and handed to the
-//     registered MsgSink at arrival time. No heap allocation in steady state
-//     and no closure per message.
+//     are copied once into a pooled net::Record (net/record_pool.h), the
+//     delivery event captures the record pointer, and the registered MsgSink
+//     takes ownership of it at arrival time. The sink keeps the same record
+//     through handler dispatch and hands it back with release(). No heap
+//     allocation in steady state, no closure per message and no second copy.
 //   * send — closure delivery for control messages and tests; the callable
 //     goes straight into the engine's event queue.
 //
-// Channel state (FIFO clamp + ring) lives in one dense nodes² table indexed
-// by src*nodes+dst on machines of up to kDenseNodeLimit nodes: a channel
-// lookup is one multiply-add, the FIFO clamp and ring head share a cache
-// line, and the table is allocated exactly once up front — Channel pointers
-// captured by in-flight delivery events stay stable because the vector never
-// grows. Rings start empty, so an idle channel costs sizeof(Channel), not a
-// ring arena.
+// Records come from per-lane pools: the legacy canon has one pool, a
+// windowed engine one per lane. A record is acquired and released on its
+// destination's lane, so lanes never share a pool.
+//
+// A channel is only its FIFO clamp (the last arrival time, 8 bytes); it is
+// "used" once that is non-zero, since the clamp makes every arrival >= 1.
+// Channels live in one dense nodes² table indexed by src*nodes+dst on
+// machines of up to kDenseNodeLimit nodes: a channel lookup is one
+// multiply-add and the table is allocated exactly once up front.
 //
 // Above kDenseNodeLimit the dense table would be the largest allocation in
 // the simulator (nodes² channels for traffic that is overwhelmingly
 // neighbor/home-patterned), so each source instead keeps a flat dst->slot
 // index (built lazily on the source's first send) plus a chunked arena of
-// channels materialized on first use. Chunks never move, so Channel pointers
-// are as stable as the dense table's, and both the index and the arena are
+// channels materialized on first use. Both the index and the arena are
 // owned by the source — under the parallel windowed engine every touch
 // happens on the source's lane, so no lock is needed. metadata_bytes then
 // scales with channels actually used, not nodes².
@@ -42,14 +45,15 @@
 // order is fixed, so message sequence numbers — and therefore every
 // simulated result — are independent of how lanes were partitioned over
 // workers. Self-sends and sends from outside any lane (setup, boundary
-// context) deliver directly through the channel ring, as before.
+// context) take a record from the destination lane's pool directly.
 //
-// Staged record bytes are written exactly once: send_msg appends them to the
-// source's open *arena*, and the boundary flush merely seals the arena
-// (stamping its live-delivery count) and schedules events that read the
-// bytes in place at arrival — no second copy into the channel ring, no
-// boundary memcpy at all. A sealed arena is immutable, so destination lanes
-// read it concurrently without synchronization beyond the window barrier's
+// Staged record bytes are written once at send time: send_msg appends them
+// to the source's open *arena*, and the boundary flush merely seals the
+// arena (stamping its live-delivery count) and schedules events that, at
+// arrival, copy the bytes into a record from the destination lane's pool —
+// the one copy a cross-lane message needs, since the source lane may not
+// touch that pool. A sealed arena is immutable, so destination lanes read
+// it concurrently without synchronization beyond the window barrier's
 // release/acquire edges; each delivery decrements the arena's live counter
 // (single producer per arena, its consumers are the destination lanes — the
 // counter is the only shared word), and the flush reclaims drained arenas
@@ -66,7 +70,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/record_ring.h"
+#include "net/record_pool.h"
 #include "sim/engine.h"
 #include "sim/time.h"
 #include "trace/hooks.h"
@@ -81,11 +85,12 @@ struct NetConfig {
 
 class Network {
  public:
-  // Receiver of typed messages (the protocol layer). The record bytes are
-  // only valid for the duration of the on_msg call.
+  // Receiver of typed messages (the protocol layer). on_msg takes ownership
+  // of rec; the sink hands it back with release(dst, rec), from an event on
+  // dst's lane.
   class MsgSink {
    public:
-    virtual void on_msg(int dst, const std::byte* rec, std::size_t len) = 0;
+    virtual void on_msg(int dst, Record* rec) = 0;
 
    protected:
     ~MsgSink() = default;
@@ -101,7 +106,7 @@ class Network {
   // Attaches the observation bus (trace/hooks.h), or detaches with nullptr.
   void set_hooks(trace::Hooks* h) { hooks_ = h; }
 
-  // Typed fast path: copies header+payload into the channel ring; the sink
+  // Typed fast path: copies header+payload into a pooled record; the sink
   // receives the concatenated record at the arrival time. `wire_bytes` is
   // the simulated message size (it can differ from the host record size).
   // Returns the arrival time. Callable from engine and processor threads.
@@ -117,7 +122,7 @@ class Network {
   template <typename F>
   sim::Time send(int src, int dst, std::size_t bytes, sim::Time depart,
                  F&& deliver) {
-    const sim::Time arrival = route(src, dst, bytes, depart).arrival;
+    const sim::Time arrival = route(src, dst, bytes, depart);
     if (src != dst && engine_.in_lane_context()) {
       stage_fn(src, dst, arrival, sim::InlineFn(std::forward<F>(deliver)));
     } else {
@@ -126,6 +131,13 @@ class Network {
     }
     return arrival;
   }
+
+  // Returns a record delivered to dst (MsgSink::on_msg) to dst's pool.
+  void release(int dst, Record* rec) { pool(dst).release(rec); }
+
+  // Pooled records delivered or in flight and not yet released, over all
+  // pools. Zero once the engine's queue has drained.
+  std::size_t records_outstanding() const;
 
   // Lower bound on cross-node delivery latency. A windowed engine's window
   // width must not exceed this: a message departing at t < cap then arrives
@@ -146,22 +158,28 @@ class Network {
   // Channels that have carried at least one message (test/telemetry hook).
   std::size_t channels_used() const;
 
-  // Host bytes held by the channel table and its record-ring arenas.
+  // Host bytes held by the channel tables, the record pools and the
+  // windowed staging outboxes.
   std::size_t metadata_bytes() const;
+
+  // Size of one channel in the pre-sparse dense table: FIFO clamp, used
+  // flag and a per-channel record ring. The dense-equivalent baseline stays
+  // anchored to it, so the scale benches' sub-quadratic gate keeps the
+  // threshold it was set against even though a channel is now 8 bytes.
+  static constexpr std::size_t kPreSparseChannelBytes = 48;
 
   // What the pre-sparse dense nodes² channel table would occupy for a
   // machine this wide — the baseline the scale benches report sub-quadratic
   // metadata against.
   static std::size_t dense_equiv_bytes(int nodes) {
     return static_cast<std::size_t>(nodes) * static_cast<std::size_t>(nodes) *
-           sizeof(Channel);
+           kPreSparseChannelBytes;
   }
 
  private:
+  // One (src, dst) channel: its FIFO clamp. Zero until the first message.
   struct Channel {
     sim::Time last_arrival = 0;
-    bool used = false;  // carried at least one message
-    RecordRing ring;
   };
 
   // Staged record bytes for one flush interval of one source. The arena
@@ -208,14 +226,8 @@ class Network {
   };
   static constexpr std::uint32_t kSparseChunk = 8;  // channels per chunk
 
-  // Computes the FIFO-clamped arrival time and records traffic stats; hands
-  // back the (src, dst) channel it clamped against, so a sender that also
-  // pushes to the ring looks the channel up once.
-  struct Routed {
-    Channel& ch;
-    sim::Time arrival;
-  };
-  Routed route(int src, int dst, std::size_t bytes, sim::Time depart);
+  // Computes the FIFO-clamped arrival time and records traffic stats.
+  sim::Time route(int src, int dst, std::size_t bytes, sim::Time depart);
   Channel& channel(int src, int dst) {
     if (!channels_.empty())
       return channels_[static_cast<std::size_t>(src) *
@@ -225,9 +237,11 @@ class Network {
   }
   Channel& sparse_channel(int src, int dst);
 
-  // Pops the front record of ch and hands it to the sink at `arrival`, on
-  // the destination's lane (lane 0 when windows are off — the legacy path).
-  void schedule_record_delivery(Channel& ch, int dst, sim::Time arrival);
+  // The pool records delivered to dst come from: dst's lane pool when
+  // windowed, the single pool otherwise.
+  RecordPool& pool(int dst) {
+    return pools_[pools_.size() == 1 ? 0 : static_cast<std::size_t>(dst)];
+  }
   void stage_fn(int src, int dst, sim::Time arrival, sim::InlineFn fn);
   // Boundary flush (BoundaryOp::kNet): sources 0..N-1 in send order.
   void flush_staged();
@@ -243,11 +257,12 @@ class Network {
   const NetConfig cfg_;
   MsgSink* sink_ = nullptr;
   trace::Hooks* hooks_ = nullptr;
-  // Dense nodes² table, [src*nodes + dst]; sized once in the constructor and
-  // never resized (delivery events hold Channel pointers). Empty above
-  // kDenseNodeLimit, where sparse_ takes over.
+  // Dense nodes² table, [src*nodes + dst]; sized once in the constructor.
+  // Empty above kDenseNodeLimit, where sparse_ takes over.
   std::vector<Channel> channels_;
   std::vector<SrcChannels> sparse_;
+  // One record pool (legacy) or one per lane (windowed).
+  std::vector<RecordPool> pools_;
   // Traffic counters are per-source (the source lane owns its own slots, so
   // concurrent lane drains never share a counter); totals are summed on read.
   std::vector<std::uint64_t> per_node_msgs_;

@@ -76,7 +76,7 @@ void CCachedProtocol::flush_block(int node, mem::BlockId b) {
   WordLog& wl = nl.pool[idx];
 
   // Marshal the used words into scratch and reset the log before sending —
-  // the payload is copied into the channel ring by send_from_app, and no
+  // the payload is copied into a pooled record by send_from_app, and no
   // handler for this node touches scratch while its app thread is parked.
   auto* entries = reinterpret_cast<FlushEntry*>(
       scratch(node, words_per_block_ * sizeof(FlushEntry)));

@@ -40,13 +40,11 @@ Protocol::Protocol(sim::Engine& engine, net::Network& net,
       costs_(costs),
       busy_until_(static_cast<std::size_t>(space.nodes()), 0),
       waiting_(static_cast<std::size_t>(space.nodes()), -1),
-      dispatch_(static_cast<std::size_t>(space.nodes())),
       scratch_(static_cast<std::size_t>(space.nodes())) {}
 
 std::size_t Protocol::metadata_bytes() const {
   std::size_t n = busy_until_.capacity() * sizeof(busy_until_[0]) +
                   waiting_.capacity() * sizeof(waiting_[0]);
-  for (const auto& r : dispatch_) n += r.capacity_bytes();
   for (const auto& s : scratch_) n += s.capacity();
   return n;
 }
@@ -63,8 +61,8 @@ void Protocol::post(int src, int dst, const Msg& m, sim::Time depart) {
   c.bytes_sent += bytes;
   if (hooks_ != nullptr) [[unlikely]]
     hooks_->on_msg_send(src, dst, m, static_cast<std::uint32_t>(bytes), depart);
-  // Header and payload are copied into the (src, dst) channel ring before
-  // this returns; m.data may point straight at GlobalSpace frame bytes.
+  // Header and payload are copied into a pooled record before this
+  // returns; m.data may point straight at GlobalSpace page-copy bytes.
   net_.send_msg(src, dst, bytes, depart, &m, sizeof(Msg), m.data, m.data_len);
 }
 
@@ -76,7 +74,7 @@ void Protocol::send_from_app(int src, int dst, const Msg& m) {
   post(src, dst, m, proc(src).now());
 }
 
-void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
+void Protocol::on_msg(int dst, net::Record* rec) {
   // Serialize on the destination's protocol dispatch unit, then run the
   // handler after its occupancy. Handler time overlapping the destination's
   // application compute is charged as stolen cycles.
@@ -88,29 +86,25 @@ void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
     // Decode the header only when observed; the unobserved arrival path
     // never touches the record bytes.
     Msg m;
-    std::memcpy(&m, rec, sizeof(Msg));
+    std::memcpy(&m, rec->data(), sizeof(Msg));
     hooks_->on_msg_recv(
         dst, m.src, static_cast<std::uint8_t>(m.type), m.block,
         static_cast<std::uint32_t>(costs_.header_bytes + m.data_len),
         engine_.now(), start);
   }
   if (!proc(dst).parked_in_block()) proc(dst).add_stolen(costs_.handler);
-  dispatch_[static_cast<std::size_t>(dst)].push(rec, len, nullptr, 0);
-  engine_.schedule_at(done, [this, dst] { dispatch_front(dst); });
+  // Occupancy ends are monotone per node, so dispatches run in arrival
+  // order; the event carries the record itself, no queue behind it.
+  engine_.schedule_at(done, [this, dst, rec] { dispatch(dst, rec); });
 }
 
-void Protocol::dispatch_front(int node) {
-  auto& ring = dispatch_[static_cast<std::size_t>(node)];
-  std::size_t len;
-  const std::byte* rec = ring.front(&len);
-  PRESTO_CHECK(len >= sizeof(Msg), "truncated message record");
+void Protocol::dispatch(int node, net::Record* rec) {
+  PRESTO_CHECK(rec->len >= sizeof(Msg), "truncated message record");
   Msg m;
-  std::memcpy(&m, rec, sizeof(Msg));
-  m.data = m.data_len != 0 ? rec + sizeof(Msg) : nullptr;
-  // pop() only advances the ring head, so the record bytes stay valid for
-  // the handle() call; nothing pushes to this ring in engine context.
-  ring.pop();
+  std::memcpy(&m, rec->data(), sizeof(Msg));
+  m.data = m.data_len != 0 ? rec->data() + sizeof(Msg) : nullptr;
   handle(node, m);
+  net_.release(node, rec);
 }
 
 void Protocol::install_block(int node, mem::BlockId b, const std::byte* data,

@@ -13,10 +13,11 @@
 //
 // Transport is allocation-free in steady state: a Msg is a trivially
 // copyable header plus a non-owning payload view. Sending copies header and
-// payload into the network's per-channel record ring (net::Network::send_msg);
-// arrival moves the record into the destination node's dispatch ring, where
-// it waits out handler occupancy before handle() runs. No std::function, no
-// per-message heap allocation, no payload vector.
+// payload once, into a pooled net::Record (net::Network::send_msg); arrival
+// hands that record to on_msg, which schedules the node's dispatch with the
+// same record pointer, and dispatch returns it to the pool after handle().
+// No std::function, no per-message heap allocation, no payload vector and
+// no second copy.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 
 #include "mem/global_space.h"
 #include "net/network.h"
-#include "net/record_ring.h"
 #include "sim/engine.h"
 #include "sim/processor.h"
 #include "stats/recorder.h"
@@ -73,13 +73,13 @@ struct Msg {
   mem::BlockId block = 0;
   std::uint64_t token = 0;  // ack matching
   // Non-owning payload view. When sending it points at the caller's bytes
-  // (copied into the channel ring before the send returns, so a pointer
-  // straight into GlobalSpace frames is fine); inside handle() it points
-  // into the node's dispatch ring and is valid only for that call.
+  // (copied into a pooled record before the send returns, so a pointer
+  // straight into GlobalSpace page copies is fine); inside handle() it
+  // points into the delivered record and is valid only for that call.
   const std::byte* data = nullptr;
 };
 static_assert(std::is_trivially_copyable_v<Msg>,
-              "Msg rides the record rings by memcpy");
+              "Msg rides the pooled records by memcpy");
 
 struct ProtoCosts {
   sim::Time fault = sim::microseconds(10);    // fault vectoring on the
@@ -131,14 +131,14 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   const ProtoCosts& costs() const { return costs_; }
 
   // Host bytes held by protocol metadata (directories, schedules, reader
-  // sets, pools, dispatch rings, scratch). Base counts the framework's own
+  // sets, pools, scratch). Base counts the framework's own
   // structures; protocols add their metadata on top. Surfaced as
   // stats::HostCounters::metadata_bytes at end of run.
   virtual std::size_t metadata_bytes() const;
 
   // net::Network::MsgSink — arrival: serialize on the destination's protocol
-  // dispatch unit, then run handle() after its occupancy.
-  void on_msg(int dst, const std::byte* rec, std::size_t len) final;
+  // dispatch unit, then run handle() on rec after its occupancy.
+  void on_msg(int dst, net::Record* rec) final;
 
  protected:
   // Message dispatch in engine context; subclasses implement handle().
@@ -191,13 +191,11 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
 
  private:
   void post(int src, int dst, const Msg& m, sim::Time depart);
-  void dispatch_front(int node);
+  // Decodes rec, runs handle() and releases rec to the network's pool.
+  void dispatch(int node, net::Record* rec);
 
   std::vector<sim::Time> busy_until_;     // protocol dispatch occupancy
   std::vector<std::int64_t> waiting_;     // block each node's app waits on
-  // Per-node queue of arrived records awaiting handler occupancy. Occupancy
-  // ends are monotone per node, so dispatch order is FIFO.
-  std::vector<net::RecordRing> dispatch_;
   std::vector<std::vector<std::byte>> scratch_;
 };
 

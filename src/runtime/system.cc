@@ -190,6 +190,11 @@ void System::run(const std::function<void(NodeCtx&)>& body) {
   }
   const auto host_t0 = std::chrono::steady_clock::now();
   engine_.run();
+  // Every delivered record goes back to its pool after dispatch, so none
+  // may be outstanding once the queue has drained.
+  PRESTO_CHECK(net_->records_outstanding() == 0,
+               net_->records_outstanding()
+                   << " message records outstanding after the queue drained");
   stats::HostCounters& host = rec_.host();
   host.run_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - host_t0)
@@ -235,6 +240,10 @@ void System::run(const std::function<void(NodeCtx&)>& body) {
 
 namespace {
 
+// GCC 12 reports a bogus -Wrestrict inside libstdc++'s char_traits::copy
+// for operator+(const char*, std::string&&) (GCC bug 105651).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 // Benches run several Systems with the same --trace flag in one process;
 // give each run after the first a ".N" suffix before the extension instead
 // of overwriting.
@@ -248,6 +257,7 @@ std::string trace_output_path(const std::string& path) {
   if (dot == std::string::npos || dot == 0) return path + suffix;
   return path.substr(0, dot) + suffix + path.substr(dot);
 }
+#pragma GCC diagnostic pop
 
 }  // namespace
 

@@ -16,10 +16,15 @@ std::uint64_t fnv1a64(std::uint64_t h, const void* p, std::size_t n) {
 
 namespace {
 
+// GCC 12 reports a bogus -Wstringop-overflow inside libstdc++'s copy when
+// bytes are inserted into a vector after reserve() (GCC bug 107852).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wstringop-overflow"
 void append(std::vector<std::byte>& out, const void* p, std::size_t n) {
   const auto* b = static_cast<const std::byte*>(p);
   out.insert(out.end(), b, b + n);
 }
+#pragma GCC diagnostic pop
 
 bool fail(std::string* err, const std::string& what) {
   if (err != nullptr) *err = what;

@@ -78,7 +78,7 @@ class Hooks {
                            bool /*is_write*/, sim::Time /*t1*/) {}
 
   // Protocol messages (proto/protocol.cc). Send fires as the header and
-  // payload are about to be copied into the channel ring (m.data still
+  // payload are about to be copied into a pooled record (m.data still
   // points at the sender's bytes); recv fires at the FIFO-clamped arrival
   // with the dispatch time (handler occupancy start) already resolved.
   virtual void on_msg_send(int /*src*/, int /*dst*/, const proto::Msg& /*m*/,

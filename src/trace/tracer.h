@@ -1,7 +1,7 @@
 // The tracer: turns the simulator's observation hooks into a deterministic
 // typed event stream plus an online accounting summary.
 //
-// Buffering follows net/record_ring.h's arena discipline at event
+// Buffering carves never-moving chunks, as net/record_pool.h does, at event
 // granularity: fixed 32-byte POD events are appended through a raw write
 // cursor into 2048-event chunks (no per-event allocation; one 64 KiB chunk
 // allocation per 2048 events, sized under the allocator's mmap threshold so

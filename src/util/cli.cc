@@ -28,7 +28,13 @@ Cli::Cli(int argc, char** argv) {
     } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[std::string(arg)] = argv[++i];
     } else {
+// GCC 12 reports a bogus -Wrestrict inside libstdc++'s char_traits::copy
+// when a one-character literal is assigned to a std::string (GCC bug
+// 105329).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
       flags_[std::string(arg)] = "1";
+#pragma GCC diagnostic pop
     }
   }
 }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "mem/global_space.h"
+#include "trace/hooks.h"
 
 namespace presto::mem {
 namespace {
@@ -99,6 +104,143 @@ TEST(GlobalSpace, ReadsSpanningBlocksAndPages) {
   std::vector<std::uint8_t> got(200);
   s.read(0, a + 30, got.data(), got.size());
   EXPECT_EQ(pat, got);
+}
+
+// Multi-block accesses inside one slot: 32 B blocks, 512 B pages, so a
+// slot is 256 B (eight blocks) and a page holds two slots.
+MemConfig slot_cfg() {
+  MemConfig c;
+  c.block_size = 32;
+  c.page_size = 512;
+  return c;
+}
+
+// Grants a remote node a copy of blocks [first, last] with the given tag.
+void grant(GlobalSpace& s, int node, BlockId first, BlockId last, Tag t) {
+  for (BlockId b = first; b <= last; ++b) {
+    std::memcpy(s.block_data(node, b), s.block_data(0, b), s.block_size());
+    s.set_tag(node, b, t);
+  }
+}
+
+// Records every fault and satisfies it from the home copy.
+struct RecordingFaults : FaultHandler {
+  explicit RecordingFaults(GlobalSpace& s) : space(s) {}
+  void on_fault(int node, BlockId b, bool is_write) override {
+    faulted.push_back(b);
+    grant(space, node, b, b, is_write ? Tag::ReadWrite : Tag::ReadOnly);
+  }
+  GlobalSpace& space;
+  std::vector<BlockId> faulted;
+};
+
+std::vector<std::uint8_t> pattern(std::size_t n, int seed) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::uint8_t>(i * 7 + static_cast<std::size_t>(seed));
+  return v;
+}
+
+TEST(GlobalSpace, SpanInsideOneSlotReadsWithoutFault) {
+  GlobalSpace s(2, slot_cfg());
+  const Addr a = s.alloc(512, [](PageId) { return 0; });
+  const auto pat = pattern(72, 3);  // a Barnes-cell-sized record
+  s.write(0, a + 40, pat.data(), pat.size());  // blocks 1..3 at the home
+  grant(s, 1, 1, 3, Tag::ReadOnly);
+  FailOnFault h;
+  s.set_fault_handler(&h);
+  std::vector<std::uint8_t> got(pat.size());
+  s.read(1, a + 40, got.data(), got.size());
+  EXPECT_EQ(got, pat);
+  // A read-only span may not be written inline.
+  RecordingFaults rec(s);
+  s.set_fault_handler(&rec);
+  const auto upd = pattern(72, 9);
+  s.write(1, a + 40, upd.data(), upd.size());
+  EXPECT_EQ(rec.faulted, (std::vector<BlockId>{1, 2, 3}));
+  s.read(1, a + 40, got.data(), got.size());
+  EXPECT_EQ(got, upd);
+}
+
+TEST(GlobalSpace, OneInvalidTagInSpanFaultsExactlyThatBlock) {
+  GlobalSpace s(2, slot_cfg());
+  const Addr a = s.alloc(512, [](PageId) { return 0; });
+  const auto pat = pattern(96, 5);
+  s.write(0, a + 16, pat.data(), pat.size());  // blocks 0..3
+  grant(s, 1, 0, 3, Tag::ReadOnly);
+  s.set_tag(1, 2, Tag::Invalid);
+  RecordingFaults rec(s);
+  s.set_fault_handler(&rec);
+  std::vector<std::uint8_t> got(pat.size());
+  s.read(1, a + 16, got.data(), got.size());
+  EXPECT_EQ(rec.faulted, (std::vector<BlockId>{2}));
+  EXPECT_EQ(got, pat);
+
+  // Writes: ReadWrite everywhere but one read-only block.
+  grant(s, 1, 0, 3, Tag::ReadWrite);
+  s.set_tag(1, 1, Tag::ReadOnly);
+  rec.faulted.clear();
+  const auto upd = pattern(96, 11);
+  s.write(1, a + 16, upd.data(), upd.size());
+  EXPECT_EQ(rec.faulted, (std::vector<BlockId>{1}));
+  s.read(1, a + 16, got.data(), got.size());
+  EXPECT_EQ(got, upd);
+}
+
+TEST(GlobalSpace, CrossSlotSpanStaysCorrect) {
+  GlobalSpace s(2, slot_cfg());
+  const Addr a = s.alloc(1024, [](PageId) { return 0; });
+  const auto pat = pattern(100, 7);
+  // Bytes 200..299 cover blocks 6..9 across the slot boundary at 256.
+  s.write(0, a + 200, pat.data(), pat.size());
+  std::vector<std::uint8_t> got(pat.size());
+  s.read(0, a + 200, got.data(), got.size());
+  EXPECT_EQ(got, pat);
+
+  grant(s, 1, 6, 9, Tag::ReadOnly);
+  s.set_tag(1, 8, Tag::Invalid);  // first block of the second slot
+  RecordingFaults rec(s);
+  s.set_fault_handler(&rec);
+  std::fill(got.begin(), got.end(), 0);
+  s.read(1, a + 200, got.data(), got.size());
+  EXPECT_EQ(rec.faulted, (std::vector<BlockId>{8}));
+  EXPECT_EQ(got, pat);
+}
+
+// Observed multi-block accesses still report one call per block.
+struct AccessLog : trace::Hooks {
+  struct Call {
+    bool write;
+    std::uint64_t block;
+    std::size_t off, n;
+    bool operator==(const Call&) const = default;
+  };
+  std::vector<Call> calls;
+  void on_app_read(int, std::uint64_t b, std::size_t off, const void*,
+                   std::size_t n) override {
+    calls.push_back({false, b, off, n});
+  }
+  void on_app_write(int, std::uint64_t b, std::size_t off, const void*,
+                    std::size_t n) override {
+    calls.push_back({true, b, off, n});
+  }
+};
+
+TEST(GlobalSpace, ObservedSpanReportsEveryBlock) {
+  GlobalSpace s(2, slot_cfg());
+  const Addr a = s.alloc(512, [](PageId) { return 0; });
+  AccessLog log;
+  s.set_hooks(&log);
+  const auto pat = pattern(96, 1);
+  s.write(0, a + 16, pat.data(), pat.size());
+  std::vector<std::uint8_t> got(pat.size());
+  s.read(0, a + 16, got.data(), got.size());
+  EXPECT_EQ(got, pat);
+  const std::vector<AccessLog::Call> want{
+      {true, 0, 16, 16},  {true, 1, 0, 32},  {true, 2, 0, 32},
+      {true, 3, 0, 16},   {false, 0, 16, 16}, {false, 1, 0, 32},
+      {false, 2, 0, 32},  {false, 3, 0, 16}};
+  EXPECT_EQ(log.calls, want);
 }
 
 TEST(GlobalSpace, ArenaAllocHomesAtNodeAndAligns) {

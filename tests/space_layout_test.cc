@@ -149,6 +149,10 @@ TEST_P(SpaceLayout, SpanningAccessCrossesSlots) {
   EXPECT_EQ(s.read_value<std::uint64_t>(0, a), v);
 }
 
+// GCC 12 reports a bogus -Wrestrict inside libstdc++'s char_traits::copy
+// for operator+(const char*, std::string&&) (GCC bug 105651).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SpaceLayout,
     ::testing::Values(Layout{32, 4096}, Layout{1024, 4096},
@@ -157,6 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
       return "b" + std::to_string(info.param.block) + "_p" +
              std::to_string(info.param.page);
     });
+#pragma GCC diagnostic pop
 
 // The ranker's 512-node shape: two 8192-vertex Aggregate1D arrays (each
 // node's 16-element slice padded to its own 4 KB page) and a power-law

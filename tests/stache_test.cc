@@ -257,6 +257,10 @@ std::vector<DrfParam> drf_params() {
   return ps;
 }
 
+// GCC 12 reports a bogus -Wrestrict inside libstdc++'s char_traits::copy
+// for operator+(const char*, std::string&&) (GCC bug 105651).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DrfProperty, ::testing::ValuesIn(drf_params()),
     [](const ::testing::TestParamInfo<DrfParam>& info) {
@@ -265,6 +269,7 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(p.seed) + "_" +
              (p.kind == ProtocolKind::kStache ? "stache" : "pred");
     });
+#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace presto::runtime
